@@ -15,10 +15,11 @@
 //! compute: fewer, slightly stronger steps).
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{RankedColumns, RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,9 +170,7 @@ pub struct GbdtRegressor {
 impl GbdtRegressor {
     /// Fit on `(xs, ys)`.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], cfg: &GbdtConfig) -> Self {
-        // Delegating keeps the resumable path bit-identical by construction:
-        // there is only one boosting loop.
-        Self::fit_resumable(xs, ys, cfg, None, 0, |_| {})
+        Self::boost(xs, ys, cfg, None, |_, _| ControlFlow::Continue(()))
     }
 
     /// [`Self::fit`], with crash recovery: every `checkpoint_every` rounds
@@ -197,6 +196,80 @@ impl GbdtRegressor {
         checkpoint_every: usize,
         mut on_checkpoint: impl FnMut(&GbdtCheckpoint),
     ) -> Self {
+        Self::boost(xs, ys, cfg, resume, |done, model| {
+            if checkpoint_every > 0
+                && done.is_multiple_of(checkpoint_every)
+                && done < cfg.n_estimators
+            {
+                on_checkpoint(&GbdtCheckpoint {
+                    cfg: *cfg,
+                    n_rows: xs.len(),
+                    rounds_done: done,
+                    base: model.base,
+                    trees: model.trees.clone(),
+                });
+            }
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// Fit with early stopping: after each round the model is scored on
+    /// `(val_xs, val_ys)` (RMSE); training stops when the validation score
+    /// has not improved for `patience` rounds, and the model is truncated
+    /// to its best round. Returns the model and the per-round validation
+    /// RMSE curve.
+    pub fn fit_with_validation(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        val_xs: &[Vec<f64>],
+        val_ys: &[f64],
+        cfg: &GbdtConfig,
+        patience: usize,
+    ) -> (Self, Vec<f64>) {
+        assert_eq!(val_xs.len(), val_ys.len(), "validation length mismatch");
+        assert!(!val_xs.is_empty(), "need validation data");
+        assert!(patience >= 1, "patience must be at least 1");
+        let mut val_pred: Option<Vec<f64>> = None;
+        let mut curve = Vec::new();
+        let mut best_rmse = f64::INFINITY;
+        let mut best_round = 0usize;
+        let mut model = Self::boost(xs, ys, cfg, None, |done, model| {
+            let val_pred = val_pred.get_or_insert_with(|| vec![model.base; val_xs.len()]);
+            let tree = model.trees.last().expect("called after each round");
+            for (vp, vx) in val_pred.iter_mut().zip(val_xs) {
+                *vp += cfg.learning_rate * tree.predict_row(vx);
+            }
+            let rmse = (val_pred
+                .iter()
+                .zip(val_ys)
+                .map(|(p, y)| (p - y) * (p - y))
+                .sum::<f64>()
+                / val_ys.len() as f64)
+                .sqrt();
+            curve.push(rmse);
+            let round = done - 1;
+            if rmse < best_rmse - 1e-9 {
+                best_rmse = rmse;
+                best_round = round;
+            } else if round - best_round >= patience {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        model.trees.truncate(best_round + 1);
+        (model, curve)
+    }
+
+    /// The one boosting loop. Each feature is ranked once; every round
+    /// then orders its subsample by those ranks. After each round,
+    /// `after_round(rounds_done, model_so_far)` runs and may stop training.
+    fn boost(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        cfg: &GbdtConfig,
+        resume: Option<GbdtCheckpoint>,
+        mut after_round: impl FnMut(usize, &Self) -> ControlFlow<()>,
+    ) -> Self {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         assert!(!xs.is_empty(), "cannot fit GBDT on empty data");
         let n = xs.len();
@@ -205,7 +278,7 @@ impl GbdtRegressor {
         let tree_cfg = cfg.tree_config();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-        let (mut trees, start_round) = match resume {
+        let (trees, start_round) = match resume {
             None => (Vec::with_capacity(cfg.n_estimators), 0),
             Some(ck) => {
                 assert_eq!(ck.cfg, *cfg, "checkpoint config mismatch on resume");
@@ -226,104 +299,34 @@ impl GbdtRegressor {
                 (ck.trees, ck.rounds_done)
             }
         };
-
-        for round in start_round..cfg.n_estimators {
-            let rows = subsample_idx(n, cfg.subsample, &mut rng);
-            // Squared loss: g = pred − y, h = 1 ⇒ leaf = mean residual.
-            let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
-            let g: Vec<f64> = rows.iter().map(|&i| pred[i] - ys[i]).collect();
-            let h = vec![1.0; rows.len()];
-            let tree = RegressionTree::fit_gradients(&sub_xs, &g, &h, &tree_cfg, None);
-            for i in 0..n {
-                pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
-            }
-            trees.push(tree);
-            let done = round + 1;
-            if checkpoint_every > 0
-                && done.is_multiple_of(checkpoint_every)
-                && done < cfg.n_estimators
-            {
-                on_checkpoint(&GbdtCheckpoint {
-                    cfg: *cfg,
-                    n_rows: n,
-                    rounds_done: done,
-                    base,
-                    trees: trees.clone(),
-                });
-            }
-        }
-        GbdtRegressor {
+        let mut model = GbdtRegressor {
             base,
             trees,
             lr: cfg.learning_rate,
             n_features: xs[0].len(),
-        }
-    }
+        };
 
-    /// Fit with early stopping: after each round the model is scored on
-    /// `(val_xs, val_ys)` (RMSE); training stops when the validation score
-    /// has not improved for `patience` rounds, and the model is truncated
-    /// to its best round. Returns the model and the per-round validation
-    /// RMSE curve.
-    pub fn fit_with_validation(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        val_xs: &[Vec<f64>],
-        val_ys: &[f64],
-        cfg: &GbdtConfig,
-        patience: usize,
-    ) -> (Self, Vec<f64>) {
-        assert_eq!(val_xs.len(), val_ys.len(), "validation length mismatch");
-        assert!(!val_xs.is_empty(), "need validation data");
-        assert!(patience >= 1, "patience must be at least 1");
-        let mut model = GbdtRegressor::fit(
-            xs,
-            ys,
-            &GbdtConfig {
-                n_estimators: 0,
-                ..*cfg
-            },
-        );
-        // Incremental boosting with monitoring.
-        let n = xs.len();
-        let mut pred = vec![model.base; n];
-        let mut val_pred = vec![model.base; val_xs.len()];
-        let tree_cfg = cfg.tree_config();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut curve = Vec::new();
-        let mut best_rmse = f64::INFINITY;
-        let mut best_round = 0usize;
-        for round in 0..cfg.n_estimators {
+        let cols = RankedColumns::new(xs);
+        // Squared loss: g = pred − y, h = 1 ⇒ leaf = mean residual. Only
+        // the subsampled rows' gradients are refreshed and read each round.
+        let mut g = vec![0.0; n];
+        let h = vec![1.0; n];
+        for round in start_round..cfg.n_estimators {
             let rows = subsample_idx(n, cfg.subsample, &mut rng);
-            let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
-            let g: Vec<f64> = rows.iter().map(|&i| pred[i] - ys[i]).collect();
-            let h = vec![1.0; rows.len()];
-            let tree = RegressionTree::fit_gradients(&sub_xs, &g, &h, &tree_cfg, None);
+            for &i in &rows {
+                g[i] = pred[i] - ys[i];
+            }
+            let mut orders = cols.orders(&rows);
+            let tree = RegressionTree::fit_ranked(&cols, &mut orders, &g, &h, &tree_cfg, None);
             for i in 0..n {
                 pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
             }
-            for (vp, vx) in val_pred.iter_mut().zip(val_xs) {
-                *vp += cfg.learning_rate * tree.predict_row(vx);
-            }
             model.trees.push(tree);
-
-            let rmse = (val_pred
-                .iter()
-                .zip(val_ys)
-                .map(|(p, y)| (p - y) * (p - y))
-                .sum::<f64>()
-                / val_ys.len() as f64)
-                .sqrt();
-            curve.push(rmse);
-            if rmse < best_rmse - 1e-9 {
-                best_rmse = rmse;
-                best_round = round;
-            } else if round - best_round >= patience {
+            if after_round(round + 1, &model).is_break() {
                 break;
             }
         }
-        model.trees.truncate(best_round + 1);
-        (model, curve)
+        model
     }
 
     /// Predict one row.
@@ -440,22 +443,23 @@ impl GbdtClassifier {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut all_trees = Vec::with_capacity(cfg.n_estimators);
 
+        // One ranking per fit and one subsample order per round, shared by
+        // the round's class trees; gradients are indexed by row id.
+        let cols = RankedColumns::new(xs);
+        let mut g = vec![0.0; n];
+        let mut h = vec![0.0; n];
         for _ in 0..cfg.n_estimators {
             let rows = subsample_idx(n, cfg.subsample, &mut rng);
-            let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
+            let orders = cols.orders(&rows);
             let probs: Vec<Vec<f64>> = rows.iter().map(|&i| softmax(&scores[i])).collect();
             let mut round = Vec::with_capacity(n_classes);
             for k in 0..n_classes {
-                let g: Vec<f64> = rows
-                    .iter()
-                    .zip(&probs)
-                    .map(|(&i, p)| p[k] - if ys[i] == k { 1.0 } else { 0.0 })
-                    .collect();
-                let h: Vec<f64> = probs
-                    .iter()
-                    .map(|p| (p[k] * (1.0 - p[k])).max(1e-6))
-                    .collect();
-                let tree = RegressionTree::fit_gradients(&sub_xs, &g, &h, &tree_cfg, None);
+                for (&i, p) in rows.iter().zip(&probs) {
+                    g[i] = p[k] - if ys[i] == k { 1.0 } else { 0.0 };
+                    h[i] = (p[k] * (1.0 - p[k])).max(1e-6);
+                }
+                let tree =
+                    RegressionTree::fit_ranked(&cols, &mut orders.clone(), &g, &h, &tree_cfg, None);
                 for i in 0..n {
                     scores[i][k] += cfg.learning_rate * tree.predict_row(&xs[i]);
                 }
@@ -572,6 +576,7 @@ impl GbdtClassifier {
 mod tests {
     use super::*;
     use crate::metrics::{mae, weighted_f1};
+    use crate::tree::reference;
 
     fn quick_cfg() -> GbdtConfig {
         GbdtConfig {
@@ -728,6 +733,132 @@ mod tests {
         let mut w = ByteWriter::new();
         m.encode(&mut w);
         w.into_bytes()
+    }
+
+    /// The former boosting loops, which cloned each round's subsample and
+    /// grew every tree with the reference builder.
+    fn reference_regressor(xs: &[Vec<f64>], ys: &[f64], cfg: &GbdtConfig) -> GbdtRegressor {
+        let n = xs.len();
+        let base = ys.iter().sum::<f64>() / n as f64;
+        let mut pred = vec![base; n];
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut trees = Vec::new();
+        for _ in 0..cfg.n_estimators {
+            let rows = subsample_idx(n, cfg.subsample, &mut rng);
+            let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
+            let g: Vec<f64> = rows.iter().map(|&i| pred[i] - ys[i]).collect();
+            let h = vec![1.0; rows.len()];
+            let tree = reference::fit_gradients(&sub_xs, &g, &h, &cfg.tree_config(), None);
+            for i in 0..n {
+                pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
+            }
+            trees.push(tree);
+        }
+        GbdtRegressor {
+            base,
+            trees,
+            lr: cfg.learning_rate,
+            n_features: xs[0].len(),
+        }
+    }
+
+    fn reference_classifier(
+        xs: &[Vec<f64>],
+        ys: &[usize],
+        n_classes: usize,
+        cfg: &GbdtConfig,
+    ) -> GbdtClassifier {
+        let n = xs.len();
+        let mut counts = vec![0.0f64; n_classes];
+        for &y in ys {
+            counts[y] += 1.0;
+        }
+        let priors: Vec<f64> = counts
+            .iter()
+            .map(|c| ((c + 1.0) / (n as f64 + n_classes as f64)).ln())
+            .collect();
+        let mut scores: Vec<Vec<f64>> = (0..n).map(|_| priors.clone()).collect();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut trees = Vec::new();
+        for _ in 0..cfg.n_estimators {
+            let rows = subsample_idx(n, cfg.subsample, &mut rng);
+            let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
+            let probs: Vec<Vec<f64>> = rows.iter().map(|&i| softmax(&scores[i])).collect();
+            let mut round = Vec::new();
+            for k in 0..n_classes {
+                let g: Vec<f64> = rows
+                    .iter()
+                    .zip(&probs)
+                    .map(|(&i, p)| p[k] - if ys[i] == k { 1.0 } else { 0.0 })
+                    .collect();
+                let h: Vec<f64> = probs
+                    .iter()
+                    .map(|p| (p[k] * (1.0 - p[k])).max(1e-6))
+                    .collect();
+                let tree = reference::fit_gradients(&sub_xs, &g, &h, &cfg.tree_config(), None);
+                for i in 0..n {
+                    scores[i][k] += cfg.learning_rate * tree.predict_row(&xs[i]);
+                }
+                round.push(tree);
+            }
+            trees.push(round);
+        }
+        GbdtClassifier {
+            trees,
+            priors,
+            lr: cfg.learning_rate,
+            n_classes,
+            n_features: xs[0].len(),
+        }
+    }
+
+    #[test]
+    fn rank_sorted_boosting_equals_the_reference_bit_for_bit() {
+        for seed in 0..12u64 {
+            let (xs, ys) = reference::tie_heavy_data(seed, 60 + 37 * seed as usize);
+            let labels: Vec<usize> = ys
+                .iter()
+                .map(|&y| usize::from(y > 300.0) + usize::from(y > 700.0))
+                .collect();
+            let cfg = GbdtConfig {
+                n_estimators: 6,
+                max_depth: 2 + seed as usize % 4,
+                learning_rate: 0.3,
+                min_samples_leaf: [1, 5][seed as usize % 2],
+                subsample: [0.5, 0.8, 1.0][seed as usize % 3],
+                seed,
+            };
+            let reg = GbdtRegressor::fit(&xs, &ys, &cfg);
+            assert_eq!(
+                encoded(&reg),
+                encoded(&reference_regressor(&xs, &ys, &cfg)),
+                "regressor, {cfg:?}"
+            );
+            // Early stopping keeps a prefix of the same boosting run.
+            let cut = xs.len() * 4 / 5;
+            let (es, _) = GbdtRegressor::fit_with_validation(
+                &xs[..cut],
+                &ys[..cut],
+                &xs[cut..],
+                &ys[cut..],
+                &cfg,
+                2,
+            );
+            let prefix = GbdtConfig {
+                n_estimators: es.n_trees(),
+                ..cfg
+            };
+            assert_eq!(
+                encoded(&es),
+                encoded(&reference_regressor(&xs[..cut], &ys[..cut], &prefix)),
+                "early stopping, {cfg:?}"
+            );
+            let mut got = ByteWriter::new();
+            GbdtClassifier::fit(&xs, &labels, 3, &cfg).encode(&mut got);
+            let mut want = ByteWriter::new();
+            reference_classifier(&xs, &labels, 3, &cfg).encode(&mut want);
+            assert_eq!(got.into_bytes(), want.into_bytes(), "classifier, {cfg:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //!
 //! Both support depth bounds, minimum leaf sizes and random feature
 //! subspaces (for forests).
+//!
+//! `RegressionTree` is exact CART without per-tree float sorting: each
+//! feature is ranked once per fit (`RankedColumns`), a tree's per-feature
+//! row orders come from a stable counting sort on those ranks, and nodes
+//! split those orders in place. Boosting ranks once and reuses the ranks in
+//! every round; the trees are the same, bit for bit, as sorting each
+//! tree's rows by value would give.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use rand::rngs::StdRng;
@@ -62,6 +69,97 @@ pub struct RegressionTree {
     n_features: usize,
 }
 
+/// Training rows stored feature-major, with each value's dense rank under
+/// `f64::total_cmp`. Built once per fit; every tree of a boosting run then
+/// orders its rows by a counting sort on the ranks instead of re-sorting
+/// floats.
+pub(crate) struct RankedColumns {
+    n_rows: usize,
+    /// `values[f][row]`.
+    values: Vec<Vec<f64>>,
+    /// `ranks[f][row]`: equal ranks ⇔ equal bits.
+    ranks: Vec<Vec<u32>>,
+    /// Number of distinct ranks of each feature.
+    distinct: Vec<usize>,
+}
+
+impl RankedColumns {
+    pub(crate) fn new(xs: &[Vec<f64>]) -> Self {
+        let n = u32::try_from(xs.len()).expect("row ids must fit in u32");
+        let n_features = xs.first().map_or(0, Vec::len);
+        let mut by_value: Vec<u32> = (0..n).collect();
+        let mut values = Vec::with_capacity(n_features);
+        let mut ranks = Vec::with_capacity(n_features);
+        let mut distinct = Vec::with_capacity(n_features);
+        for f in 0..n_features {
+            let col: Vec<f64> = xs.iter().map(|row| row[f]).collect();
+            by_value.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let mut rank = vec![0u32; col.len()];
+            let mut r = 0u32;
+            for w in by_value.windows(2) {
+                if col[w[1] as usize].total_cmp(&col[w[0] as usize]).is_ne() {
+                    r += 1;
+                }
+                rank[w[1] as usize] = r;
+            }
+            distinct.push(if col.is_empty() { 0 } else { r as usize + 1 });
+            values.push(col);
+            ranks.push(rank);
+        }
+        RankedColumns {
+            n_rows: xs.len(),
+            values,
+            ranks,
+            distinct,
+        }
+    }
+
+    /// Each feature's order of `rows`: a stable counting sort by rank, so
+    /// ties keep their order in `rows`, exactly as a stable
+    /// `sort_by(total_cmp)` over the rows taken in that order would.
+    pub(crate) fn orders(&self, rows: &[usize]) -> RowOrders {
+        let len = rows.len();
+        let mut order = vec![0u32; self.values.len() * len];
+        let mut next = Vec::new();
+        for ((rank, &distinct), out) in self
+            .ranks
+            .iter()
+            .zip(&self.distinct)
+            .zip(order.chunks_exact_mut(len.max(1)))
+        {
+            next.clear();
+            next.resize(distinct + 1, 0usize);
+            for &row in rows {
+                next[rank[row] as usize + 1] += 1;
+            }
+            for v in 1..next.len() {
+                next[v] += next[v - 1];
+            }
+            for &row in rows {
+                let slot = &mut next[rank[row] as usize];
+                out[*slot] = row as u32;
+                *slot += 1;
+            }
+        }
+        RowOrders { order, len }
+    }
+}
+
+/// Per-feature row orders for one tree: feature `f` occupies
+/// `order[f·len..(f+1)·len]`. Growing a tree partitions every feature's
+/// slice in place, so a node is one `[lo, hi)` range of each.
+#[derive(Clone)]
+pub(crate) struct RowOrders {
+    order: Vec<u32>,
+    len: usize,
+}
+
+impl RowOrders {
+    fn feature(&self, f: usize) -> &[u32] {
+        &self.order[f * self.len..(f + 1) * self.len]
+    }
+}
+
 impl RegressionTree {
     /// Fit on features `xs` with per-sample gradient `g` and hessian `h`.
     /// The leaf value minimizing the local quadratic model is `−Σg / Σh`.
@@ -78,25 +176,46 @@ impl RegressionTree {
     ) -> Self {
         assert_eq!(xs.len(), g.len(), "xs/g length mismatch");
         assert_eq!(xs.len(), h.len(), "xs/h length mismatch");
-        assert!(!xs.is_empty(), "cannot fit a tree on no data");
-        let n_features = xs[0].len();
+        let cols = RankedColumns::new(xs);
+        let rows: Vec<usize> = (0..xs.len()).collect();
+        Self::fit_ranked(&cols, &mut cols.orders(&rows), g, h, cfg, rng)
+    }
+
+    /// Fit on the rows `orders` was built from, with `g` and `h` indexed by
+    /// row id. `orders` is partitioned in place and holds no useful order
+    /// afterwards.
+    pub(crate) fn fit_ranked(
+        cols: &RankedColumns,
+        orders: &mut RowOrders,
+        g: &[f64],
+        h: &[f64],
+        cfg: &TreeConfig,
+        rng: Option<&mut StdRng>,
+    ) -> Self {
+        assert_eq!(cols.n_rows, g.len(), "rows/g length mismatch");
+        assert_eq!(cols.n_rows, h.len(), "rows/h length mismatch");
+        assert!(orders.len > 0, "cannot fit a tree on no data");
+        let n_features = cols.values.len();
         assert!(n_features > 0, "need at least one feature");
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            n_features,
+        let len = orders.len;
+        let mut grower = Grower {
+            tree: RegressionTree {
+                nodes: Vec::new(),
+                n_features,
+            },
+            cols,
+            orders,
+            g,
+            h,
+            cfg,
+            rng,
+            goes_left: vec![false; cols.n_rows],
+            scratch: Vec::with_capacity(len),
         };
-        // Pre-sort sample indices per feature once; splits partition these
-        // lists order-preservingly, so no per-node sorting is needed.
-        let orders: Vec<Vec<usize>> = (0..n_features)
-            .map(|f| {
-                let mut v: Vec<usize> = (0..xs.len()).collect();
-                v.sort_by(|&a, &b| xs[a][f].total_cmp(&xs[b][f]));
-                v
-            })
-            .collect();
-        let mut local_rng = rng;
-        tree.build(xs, g, h, orders, 0, cfg, &mut local_rng);
-        tree
+        grower.build(0, len, 0);
+        // A boosted model keeps hundreds of trees: hold no spare capacity.
+        grower.tree.nodes.shrink_to_fit();
+        grower.tree
     }
 
     /// Convenience: least-squares fit on targets.
@@ -104,121 +223,6 @@ impl RegressionTree {
         let g: Vec<f64> = ys.iter().map(|y| -y).collect();
         let h = vec![1.0; ys.len()];
         Self::fit_gradients(xs, &g, &h, cfg, None)
-    }
-
-    /// Recursive node builder. `orders[f]` holds this node's sample indices
-    /// sorted by feature `f` (all features share the same sample set).
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &mut self,
-        xs: &[Vec<f64>],
-        g: &[f64],
-        h: &[f64],
-        orders: Vec<Vec<usize>>,
-        depth: usize,
-        cfg: &TreeConfig,
-        rng: &mut Option<&mut StdRng>,
-    ) -> usize {
-        let idx: &[usize] = &orders[0];
-        let n = idx.len();
-        let sum_g: f64 = idx.iter().map(|&i| g[i]).sum();
-        let sum_h: f64 = idx.iter().map(|&i| h[i]).sum();
-        let leaf_value = if sum_h.abs() > 1e-12 {
-            -sum_g / sum_h
-        } else {
-            0.0
-        };
-
-        if depth >= cfg.max_depth || n < cfg.min_samples_split {
-            return self.push(Node::Leaf { value: leaf_value });
-        }
-
-        // Pure node (all implied targets equal): nothing to gain by
-        // splitting, even at zero cost.
-        let first_target = -g[idx[0]] / h[idx[0]].max(1e-12);
-        let pure = idx
-            .iter()
-            .all(|&i| (-g[i] / h[i].max(1e-12) - first_target).abs() < 1e-12);
-        if pure {
-            return self.push(Node::Leaf { value: leaf_value });
-        }
-
-        let parent_score = sum_g * sum_g / sum_h.max(1e-12);
-        let features = self.candidate_features(cfg, rng);
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-        for &f in &features {
-            let order = &orders[f];
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for k in 0..n.saturating_sub(1) {
-                let i = order[k];
-                gl += g[i];
-                hl += h[i];
-                // Can't split between equal feature values.
-                if xs[order[k]][f] == xs[order[k + 1]][f] {
-                    continue;
-                }
-                let left_n = k + 1;
-                let right_n = n - left_n;
-                if left_n < cfg.min_samples_leaf || right_n < cfg.min_samples_leaf {
-                    continue;
-                }
-                let gr = sum_g - gl;
-                let hr = sum_h - hl;
-                if hl <= 1e-12 || hr <= 1e-12 {
-                    continue;
-                }
-                // Gain is non-negative by convexity; zero-gain splits are
-                // accepted (like sklearn) so symmetric targets such as XOR
-                // can still be separated at deeper levels.
-                let gain = gl * gl / hl + gr * gr / hr - parent_score;
-                if gain > best.map_or(-1e-12, |b| b.2) {
-                    let threshold = 0.5 * (xs[order[k]][f] + xs[order[k + 1]][f]);
-                    best = Some((f, threshold, gain));
-                }
-            }
-        }
-
-        match best {
-            None => self.push(Node::Leaf { value: leaf_value }),
-            Some((feature, threshold, gain)) => {
-                // Order-preserving partition of every presorted list.
-                let mut left_orders = Vec::with_capacity(orders.len());
-                let mut right_orders = Vec::with_capacity(orders.len());
-                for ord in &orders {
-                    let (l, r): (Vec<usize>, Vec<usize>) =
-                        ord.iter().partition(|&&i| xs[i][feature] <= threshold);
-                    left_orders.push(l);
-                    right_orders.push(r);
-                }
-                drop(orders);
-                let node = self.push(Node::Leaf { value: 0.0 }); // placeholder
-                let left = self.build(xs, g, h, left_orders, depth + 1, cfg, rng);
-                let right = self.build(xs, g, h, right_orders, depth + 1, cfg, rng);
-                self.nodes[node] = Node::Split {
-                    feature,
-                    threshold,
-                    gain,
-                    left,
-                    right,
-                };
-                node
-            }
-        }
-    }
-
-    fn candidate_features(&self, cfg: &TreeConfig, rng: &mut Option<&mut StdRng>) -> Vec<usize> {
-        let all: Vec<usize> = (0..self.n_features).collect();
-        match (cfg.max_features, rng) {
-            (Some(k), Some(r)) if k < self.n_features => {
-                let mut shuffled = all;
-                shuffled.shuffle(*r);
-                shuffled.truncate(k);
-                shuffled
-            }
-            _ => all,
-        }
     }
 
     fn push(&mut self, n: Node) -> usize {
@@ -297,7 +301,9 @@ impl RegressionTree {
     }
 
     /// Inverse of [`Self::encode`]. Child and feature indices are validated
-    /// so a decoded tree can never panic during prediction.
+    /// so a decoded tree can never panic or loop during prediction: the
+    /// builder emits nodes in pre-order, so every child must come after its
+    /// parent and be in range.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n_features = r.len()?;
         let count = r.len()?;
@@ -305,7 +311,7 @@ impl RegressionTree {
             return Err(CodecError::Invalid("tree with zero nodes".into()));
         }
         let mut nodes = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
+        for i in 0..count {
             nodes.push(match r.u8()? {
                 0 => Node::Leaf { value: r.f64()? },
                 1 => {
@@ -322,6 +328,11 @@ impl RegressionTree {
                     if left >= count || right >= count {
                         return Err(CodecError::Invalid(format!(
                             "child index out of range ({left}/{right} vs {count} nodes)"
+                        )));
+                    }
+                    if left <= i || right <= i {
+                        return Err(CodecError::Invalid(format!(
+                            "node {i} has child {left}/{right} that does not follow it"
                         )));
                     }
                     Node::Split {
@@ -341,6 +352,153 @@ impl RegressionTree {
             });
         }
         Ok(RegressionTree { nodes, n_features })
+    }
+}
+
+/// One tree's growth state. A node owns the range `[lo, hi)` of every
+/// feature's slice of `orders`; splitting it partitions those ranges in
+/// place, so the children own `[lo, lo + n_left)` and `[lo + n_left, hi)`.
+struct Grower<'a> {
+    tree: RegressionTree,
+    cols: &'a RankedColumns,
+    orders: &'a mut RowOrders,
+    g: &'a [f64],
+    h: &'a [f64],
+    cfg: &'a TreeConfig,
+    rng: Option<&'a mut StdRng>,
+    /// Side of the current split, by row id.
+    goes_left: Vec<bool>,
+    /// Right-hand rows while one feature's range is partitioned.
+    scratch: Vec<u32>,
+}
+
+impl Grower<'_> {
+    /// Grow the subtree over `[lo, hi)` and return its root's index. Nodes
+    /// are emitted in pre-order, so children always follow their parent.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let (g, h, cfg) = (self.g, self.h, self.cfg);
+        let n = hi - lo;
+        // Node sums run in feature 0's order: the order fixes their bits.
+        let idx = &self.orders.feature(0)[lo..hi];
+        let sum_g: f64 = idx.iter().map(|&i| g[i as usize]).sum();
+        let sum_h: f64 = idx.iter().map(|&i| h[i as usize]).sum();
+        let leaf_value = if sum_h.abs() > 1e-12 {
+            -sum_g / sum_h
+        } else {
+            0.0
+        };
+
+        if depth >= cfg.max_depth || n < cfg.min_samples_split {
+            return self.tree.push(Node::Leaf { value: leaf_value });
+        }
+
+        // Pure node (all implied targets equal): nothing to gain by
+        // splitting, even at zero cost.
+        let target = |i: u32| -g[i as usize] / h[i as usize].max(1e-12);
+        let first_target = target(idx[0]);
+        if idx
+            .iter()
+            .all(|&i| (target(i) - first_target).abs() < 1e-12)
+        {
+            return self.tree.push(Node::Leaf { value: leaf_value });
+        }
+
+        let parent_score = sum_g * sum_g / sum_h.max(1e-12);
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        for f in self.candidate_features() {
+            let order = &self.orders.feature(f)[lo..hi];
+            let col = &self.cols.values[f];
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for (k, pair) in order.windows(2).enumerate() {
+                let i = pair[0] as usize;
+                gl += g[i];
+                hl += h[i];
+                let left_n = k + 1;
+                let right_n = n - left_n;
+                if left_n < cfg.min_samples_leaf || right_n < cfg.min_samples_leaf {
+                    continue;
+                }
+                // Can't split between equal feature values.
+                let (a, b) = (col[i], col[pair[1] as usize]);
+                if a == b {
+                    continue;
+                }
+                let gr = sum_g - gl;
+                let hr = sum_h - hl;
+                if hl <= 1e-12 || hr <= 1e-12 {
+                    continue;
+                }
+                // Gain is non-negative by convexity; zero-gain splits are
+                // accepted (like sklearn) so symmetric targets such as XOR
+                // can still be separated at deeper levels.
+                let gain = gl * gl / hl + gr * gr / hr - parent_score;
+                if gain > best.map_or(-1e-12, |b| b.2) {
+                    best = Some((f, 0.5 * (a + b), gain));
+                }
+            }
+        }
+
+        let Some((feature, threshold, gain)) = best else {
+            return self.tree.push(Node::Leaf { value: leaf_value });
+        };
+        let mid = lo + self.partition(feature, threshold, lo, hi);
+        let node = self.tree.push(Node::Leaf { value: 0.0 }); // placeholder
+        let left = self.build(lo, mid, depth + 1);
+        let right = self.build(mid, hi, depth + 1);
+        self.tree.nodes[node] = Node::Split {
+            feature,
+            threshold,
+            gain,
+            left,
+            right,
+        };
+        node
+    }
+
+    /// All features, or a random subspace of `max_features` of them when
+    /// the caller supplied an RNG (forests).
+    fn candidate_features(&mut self) -> Vec<usize> {
+        let all: Vec<usize> = (0..self.tree.n_features).collect();
+        match (self.cfg.max_features, self.rng.as_deref_mut()) {
+            (Some(k), Some(r)) if k < all.len() => {
+                let mut shuffled = all;
+                shuffled.shuffle(r);
+                shuffled.truncate(k);
+                shuffled
+            }
+            _ => all,
+        }
+    }
+
+    /// Stable in-place partition of every feature's `[lo, hi)` range into
+    /// rows with `value <= threshold` on `feature`, then the rest. Returns
+    /// the number of left rows.
+    fn partition(&mut self, feature: usize, threshold: f64, lo: usize, hi: usize) -> usize {
+        let col = &self.cols.values[feature];
+        let mut n_left = 0;
+        for &i in &self.orders.feature(feature)[lo..hi] {
+            let left = col[i as usize] <= threshold;
+            self.goes_left[i as usize] = left;
+            n_left += usize::from(left);
+        }
+        let len = self.orders.len;
+        for seg in self.orders.order.chunks_exact_mut(len) {
+            let seg = &mut seg[lo..hi];
+            self.scratch.clear();
+            let mut l = 0;
+            for k in 0..seg.len() {
+                let i = seg[k];
+                if self.goes_left[i as usize] {
+                    seg[l] = i;
+                    l += 1;
+                } else {
+                    self.scratch.push(i);
+                }
+            }
+            seg[l..].copy_from_slice(&self.scratch);
+        }
+        n_left
     }
 }
 
@@ -596,7 +754,8 @@ impl ClassificationTree {
         }
     }
 
-    /// Inverse of [`Self::encode`], with index validation.
+    /// Inverse of [`Self::encode`], with index validation: as in
+    /// [`RegressionTree::decode`], children must follow their parent.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n_features = r.len()?;
         let n_classes = r.len()?;
@@ -605,7 +764,7 @@ impl ClassificationTree {
             return Err(CodecError::Invalid("tree with zero nodes".into()));
         }
         let mut nodes = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
+        for i in 0..count {
             nodes.push(match r.u8()? {
                 0 => {
                     let class = r.len()?;
@@ -625,6 +784,11 @@ impl ClassificationTree {
                     let right = r.len()?;
                     if feature >= n_features || left >= count || right >= count {
                         return Err(CodecError::Invalid("split indices out of range".into()));
+                    }
+                    if left <= i || right <= i {
+                        return Err(CodecError::Invalid(format!(
+                            "node {i} has child {left}/{right} that does not follow it"
+                        )));
                     }
                     CNode::Split {
                         feature,
@@ -649,6 +813,178 @@ impl ClassificationTree {
     }
 }
 
+/// The presort-and-partition CART that the rank-sorted builder replaced,
+/// kept verbatim as the oracle the bit-identity tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Node, RegressionTree, TreeConfig};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The former `RegressionTree::fit_gradients`: sorts every feature for
+    /// this tree, then allocates two index lists per feature per split.
+    pub(crate) fn fit_gradients(
+        xs: &[Vec<f64>],
+        g: &[f64],
+        h: &[f64],
+        cfg: &TreeConfig,
+        rng: Option<&mut StdRng>,
+    ) -> RegressionTree {
+        let n_features = xs[0].len();
+        let mut tree = RegressionTree {
+            nodes: Vec::new(),
+            n_features,
+        };
+        let orders: Vec<Vec<usize>> = (0..n_features)
+            .map(|f| {
+                let mut v: Vec<usize> = (0..xs.len()).collect();
+                v.sort_by(|&a, &b| xs[a][f].total_cmp(&xs[b][f]));
+                v
+            })
+            .collect();
+        let mut local_rng = rng;
+        build(&mut tree, xs, g, h, orders, 0, cfg, &mut local_rng);
+        tree
+    }
+
+    /// Seeded rows with the value patterns that stress tie handling in the
+    /// L+M+C matrices: integer pixels, a 0/1 flag, RSRP in 1 dB steps,
+    /// `-0.0` next to `0.0`, a constant column and duplicated rows, plus a
+    /// continuous column. The target mixes them with noise.
+    pub(crate) fn tie_heavy_data(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut xs: Vec<Vec<f64>> = Vec::with_capacity(n);
+        while xs.len() < n {
+            if !xs.is_empty() && rng.gen_bool(0.1) {
+                let copy = xs[rng.gen_range(0..xs.len())].clone();
+                xs.push(copy);
+                continue;
+            }
+            xs.push(vec![
+                rng.gen_range(0..16u32) as f64,
+                rng.gen_range(0..16u32) as f64,
+                f64::from(u8::from(rng.gen_bool(0.3))),
+                -(rng.gen_range(70..110u32) as f64),
+                *[-0.0, 0.0, 1.0, -1.0].choose(&mut rng).expect("non-empty"),
+                3.0,
+                rng.gen::<f64>() * 50.0,
+            ]);
+        }
+        let ys = xs
+            .iter()
+            .map(|x| {
+                40.0 * x[0] - 25.0 * x[1].min(8.0)
+                    + 300.0 * x[2]
+                    + 6.0 * (x[3] + 90.0)
+                    + 80.0 * x[4]
+                    + x[6] * x[6]
+                    + 120.0 * (rng.gen::<f64>() - 0.5)
+            })
+            .collect();
+        (xs, ys)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        tree: &mut RegressionTree,
+        xs: &[Vec<f64>],
+        g: &[f64],
+        h: &[f64],
+        orders: Vec<Vec<usize>>,
+        depth: usize,
+        cfg: &TreeConfig,
+        rng: &mut Option<&mut StdRng>,
+    ) -> usize {
+        let idx: &[usize] = &orders[0];
+        let n = idx.len();
+        let sum_g: f64 = idx.iter().map(|&i| g[i]).sum();
+        let sum_h: f64 = idx.iter().map(|&i| h[i]).sum();
+        let leaf_value = if sum_h.abs() > 1e-12 {
+            -sum_g / sum_h
+        } else {
+            0.0
+        };
+        if depth >= cfg.max_depth || n < cfg.min_samples_split {
+            return tree.push(Node::Leaf { value: leaf_value });
+        }
+        let first_target = -g[idx[0]] / h[idx[0]].max(1e-12);
+        let pure = idx
+            .iter()
+            .all(|&i| (-g[i] / h[i].max(1e-12) - first_target).abs() < 1e-12);
+        if pure {
+            return tree.push(Node::Leaf { value: leaf_value });
+        }
+        let parent_score = sum_g * sum_g / sum_h.max(1e-12);
+        let features: Vec<usize> = {
+            let all: Vec<usize> = (0..tree.n_features).collect();
+            match (cfg.max_features, rng.as_deref_mut()) {
+                (Some(k), Some(r)) if k < tree.n_features => {
+                    let mut shuffled = all;
+                    shuffled.shuffle(r);
+                    shuffled.truncate(k);
+                    shuffled
+                }
+                _ => all,
+            }
+        };
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &f in &features {
+            let order = &orders[f];
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for k in 0..n.saturating_sub(1) {
+                let i = order[k];
+                gl += g[i];
+                hl += h[i];
+                if xs[order[k]][f] == xs[order[k + 1]][f] {
+                    continue;
+                }
+                let left_n = k + 1;
+                let right_n = n - left_n;
+                if left_n < cfg.min_samples_leaf || right_n < cfg.min_samples_leaf {
+                    continue;
+                }
+                let gr = sum_g - gl;
+                let hr = sum_h - hl;
+                if hl <= 1e-12 || hr <= 1e-12 {
+                    continue;
+                }
+                let gain = gl * gl / hl + gr * gr / hr - parent_score;
+                if gain > best.map_or(-1e-12, |b| b.2) {
+                    let threshold = 0.5 * (xs[order[k]][f] + xs[order[k + 1]][f]);
+                    best = Some((f, threshold, gain));
+                }
+            }
+        }
+        match best {
+            None => tree.push(Node::Leaf { value: leaf_value }),
+            Some((feature, threshold, gain)) => {
+                let mut left_orders = Vec::with_capacity(orders.len());
+                let mut right_orders = Vec::with_capacity(orders.len());
+                for ord in &orders {
+                    let (l, r): (Vec<usize>, Vec<usize>) =
+                        ord.iter().partition(|&&i| xs[i][feature] <= threshold);
+                    left_orders.push(l);
+                    right_orders.push(r);
+                }
+                drop(orders);
+                let node = tree.push(Node::Leaf { value: 0.0 });
+                let left = build(tree, xs, g, h, left_orders, depth + 1, cfg, rng);
+                let right = build(tree, xs, g, h, right_orders, depth + 1, cfg, rng);
+                tree.nodes[node] = Node::Split {
+                    feature,
+                    threshold,
+                    gain,
+                    left,
+                    right,
+                };
+                node
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +994,78 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let ys: Vec<f64> = (0..10).map(|i| if i < 5 { 10.0 } else { 20.0 }).collect();
         (xs, ys)
+    }
+
+    fn encoded(t: &RegressionTree) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        t.encode(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn rank_sorted_trees_equal_the_reference_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let (xs, ys) = reference::tie_heavy_data(seed, 40 + 23 * seed as usize);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
+            // Least squares, then Newton-style gradients with varying h.
+            let g: Vec<f64> = ys.iter().map(|y| -y).collect();
+            let h_var: Vec<f64> = (0..ys.len()).map(|_| 0.05 + rng.gen::<f64>()).collect();
+            for (h, msl, max_features) in [
+                (vec![1.0; ys.len()], 1, None),
+                (vec![1.0; ys.len()], 5, None),
+                (h_var.clone(), 1, None),
+                (h_var, 5, Some(3)),
+            ] {
+                let cfg = TreeConfig {
+                    max_depth: 2 + seed as usize % 5,
+                    min_samples_leaf: msl,
+                    min_samples_split: 2 * msl,
+                    max_features,
+                };
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                let got = RegressionTree::fit_gradients(&xs, &g, &h, &cfg, Some(&mut a));
+                let want = reference::fit_gradients(&xs, &g, &h, &cfg, Some(&mut b));
+                assert_eq!(encoded(&got), encoded(&want), "seed {seed}, {cfg:?}");
+                assert_eq!(a, b, "feature draws diverged (seed {seed})");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_children_that_do_not_follow_their_parent() {
+        // Node 0 splits with itself as left child: predict_row would loop.
+        let mut w = ByteWriter::new();
+        w.put_len(1); // n_features
+        w.put_len(2); // nodes
+        w.put_u8(1);
+        w.put_len(0);
+        w.put_f64(0.5);
+        w.put_f64(1.0);
+        w.put_len(0);
+        w.put_len(1);
+        w.put_u8(0);
+        w.put_f64(7.0);
+        let bytes = w.into_bytes();
+        let got = RegressionTree::decode(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
+
+        let mut w = ByteWriter::new();
+        w.put_len(1); // n_features
+        w.put_len(2); // n_classes
+        w.put_len(2); // nodes
+        w.put_u8(1);
+        w.put_len(0);
+        w.put_f64(0.5);
+        w.put_len(1);
+        w.put_len(0);
+        w.put_u8(0);
+        w.put_len(1);
+        w.put_f64s(&[0.0, 1.0]);
+        let bytes = w.into_bytes();
+        let got = ClassificationTree::decode(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
     }
 
     #[test]
