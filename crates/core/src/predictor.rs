@@ -66,6 +66,27 @@ impl Default for Seq2SeqParams {
     }
 }
 
+impl Seq2SeqParams {
+    /// Reject shapes the model cannot train on: a zero window, horizon,
+    /// stride, width, depth or minibatch would otherwise panic mid-fit (or,
+    /// for `hidden`, produce a model the codec refuses to load).
+    fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("input_len", self.input_len),
+            ("horizon", self.horizon),
+            ("stride", self.stride),
+            ("hidden", self.hidden),
+            ("layers", self.layers),
+            ("batch_size", self.batch_size),
+        ] {
+            if value == 0 {
+                return Err(format!("Seq2Seq {name} must be positive"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Model family selector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelKind {
@@ -145,6 +166,9 @@ impl Lumos5G {
     /// Non-finite feature values are rejected up front with an `Err` — a
     /// single corrupt logger sample must not panic mid-fit.
     pub fn fit_regression(&self, data: &Dataset) -> Result<TrainedRegressor, String> {
+        if let ModelKind::Seq2Seq(p) = &self.model {
+            p.validate()?;
+        }
         data.check_finite()
             .map_err(|e| format!("non-finite training data: {e}"))?;
         match &self.model {
@@ -741,6 +765,39 @@ mod tests {
         let (truth, pred) = m.eval(&data);
         assert_eq!(truth.len(), pred.len());
         assert!(!truth.is_empty());
+    }
+
+    #[test]
+    fn degenerate_seq2seq_params_are_rejected_not_panicked_on() {
+        let data = small_data();
+        for name in [
+            "input_len",
+            "horizon",
+            "stride",
+            "hidden",
+            "layers",
+            "batch_size",
+        ] {
+            let mut p = quick_seq2seq();
+            p.epochs = 1;
+            let field = match name {
+                "input_len" => &mut p.input_len,
+                "horizon" => &mut p.horizon,
+                "stride" => &mut p.stride,
+                "hidden" => &mut p.hidden,
+                "layers" => &mut p.layers,
+                _ => &mut p.batch_size,
+            };
+            *field = 0;
+            let fit = std::panic::catch_unwind(|| {
+                Lumos5G::new(FeatureSet::LM, ModelKind::Seq2Seq(p)).fit_regression(&data)
+            });
+            match fit {
+                Ok(Err(e)) => assert!(e.contains(name), "{name}: unexpected error {e}"),
+                Ok(Ok(_)) => panic!("{name} = 0 trained a model"),
+                Err(_) => panic!("{name} = 0 panicked"),
+            }
+        }
     }
 
     #[test]

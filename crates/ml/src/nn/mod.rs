@@ -74,9 +74,10 @@ impl Param {
 /// through each weight row in lockstep — independent accumulator chains
 /// the CPU overlaps — and each weight element is loaded once per lane tile
 /// instead of once per lane. Every lane still accumulates its dot product
-/// from zero, left-to-right, with the bias added last, exactly like the
-/// scalar `b + row.zip(x).map(*).sum()` — so every result is bit-identical
-/// to the unbatched computation, for any batch size.
+/// from −0.0 (`Iterator::sum`'s neutral element), left-to-right, with the
+/// bias added last, exactly like the scalar `b + row.zip(x).map(*).sum()` —
+/// so every result is bit-identical to the unbatched computation, for any
+/// batch size.
 pub fn batched_matvec_bias(
     w: &[f64],
     rows: usize,
@@ -110,7 +111,7 @@ pub fn batched_matvec_bias(
         }
         for r in 0..rows {
             let row = &w[r * cols..(r + 1) * cols];
-            let mut acc = [0.0f64; LANE_TILE];
+            let mut acc = [-0.0f64; LANE_TILE];
             for (&wj, col) in row.iter().zip(xt.chunks_exact(LANE_TILE)) {
                 for (a, &v) in acc.iter_mut().zip(col) {
                     *a += wj * v;
@@ -131,6 +132,43 @@ pub fn batched_matvec_bias(
         }
     }
     out
+}
+
+/// Bias + matrix–vector product into `out`: `out[r] = bias[r] + W[r]·x`
+/// for the row-major matrix `w` of `out.len()` rows and `x.len()` columns.
+/// The row count must be a multiple of four, as an LSTM's `4·hidden` gate
+/// rows are.
+///
+/// One dot product is a serial `fadd` chain that runs at FP-add latency;
+/// here four rows advance through `x` together, so the CPU overlaps their
+/// independent chains. Each chain still starts from −0.0 (the neutral
+/// element `Iterator::sum` folds from) and adds its products left to
+/// right, so every result is bit-identical to
+/// `bias[r] + row.zip(x).map(|(w, x)| w * x).sum::<f64>()`.
+pub(crate) fn matvec_bias_into(w: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+    let cols = x.len();
+    assert_eq!(out.len() % 4, 0, "row count must be a multiple of 4");
+    assert_eq!(w.len(), out.len() * cols, "weight shape mismatch");
+    assert_eq!(bias.len(), out.len(), "bias shape mismatch");
+    for ((o, b), rows) in out
+        .chunks_exact_mut(4)
+        .zip(bias.chunks_exact(4))
+        .zip(w.chunks_exact(4 * cols))
+    {
+        let (r0, rest) = rows.split_at(cols);
+        let (r1, rest) = rest.split_at(cols);
+        let (r2, r3) = rest.split_at(cols);
+        let mut acc = [-0.0f64; 4];
+        for ((((&x, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            acc[0] += w0 * x;
+            acc[1] += w1 * x;
+            acc[2] += w2 * x;
+            acc[3] += w3 * x;
+        }
+        for ((o, b), a) in o.iter_mut().zip(b).zip(acc) {
+            *o = b + a;
+        }
+    }
 }
 
 /// Adam optimizer state shared across a parameter set.
@@ -223,6 +261,46 @@ mod tests {
                 let row = &w.w[r * cols..(r + 1) * cols];
                 let scalar = bias.w[r] + row.iter().zip(x.iter()).map(|(a, b)| a * b).sum::<f64>();
                 assert_eq!(got.to_bits(), scalar.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn matvecs_start_from_the_neutral_element_of_sum() {
+        // A row of negative weights against a zero input sums to −0.0 under
+        // `Iterator::sum`; with a −0.0 bias only a −0.0 start reproduces it.
+        let (rows, cols) = (8, 5);
+        let w: Vec<f64> = (0..rows * cols).map(|i| -0.5 - i as f64).collect();
+        let bias = vec![-0.0; rows];
+        let x = vec![0.0; cols];
+        let scalar: Vec<u64> = w
+            .chunks(cols)
+            .zip(&bias)
+            .map(|(row, b)| (b + row.iter().zip(&x).map(|(a, b)| a * b).sum::<f64>()).to_bits())
+            .collect();
+        assert!(scalar.iter().all(|&b| b == (-0.0f64).to_bits()));
+        let mut out = vec![1.0; rows];
+        matvec_bias_into(&w, &bias, &x, &mut out);
+        assert_eq!(out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), scalar);
+        let lanes: Vec<&[f64]> = vec![&x; 9];
+        for lane in batched_matvec_bias(&w, rows, cols, &bias, &lanes) {
+            assert_eq!(lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), scalar);
+        }
+    }
+
+    #[test]
+    fn interleaved_matvec_bit_matches_scalar_matvec() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for (rows, cols) in [(16, 7), (12, 1), (4, 9)] {
+            let w = Param::xavier(rows * cols, cols, rows, &mut rng);
+            let bias = Param::xavier(rows, rows, 1, &mut rng);
+            let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut out = vec![0.0; rows];
+            matvec_bias_into(&w.w, &bias.w, &x, &mut out);
+            for (r, got) in out.iter().enumerate() {
+                let row = &w.w[r * cols..(r + 1) * cols];
+                let scalar = bias.w[r] + row.iter().zip(&x).map(|(a, b)| a * b).sum::<f64>();
+                assert_eq!(got.to_bits(), scalar.to_bits(), "{rows}×{cols} row {r}");
             }
         }
     }
