@@ -20,8 +20,8 @@
 //! the decoder must sustain ≥ 2x the unbatched rate (gated like the
 //! 100k predictions/sec GDBT target, full runs only).
 //!
-//! `--save-models DIR` writes the served model to `DIR/model-v1.l5gm`;
-//! `--load-models DIR` cold-starts from the highest version saved there
+//! `--save-models DIR` writes the served model to `DIR/model.gen-1.l5gm`;
+//! `--load-models DIR` cold-starts from the newest generation saved there
 //! and skips training entirely — the loaded model is bit-identical. Both
 //! families use the same `.l5gm` format.
 //!

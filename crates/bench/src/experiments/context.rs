@@ -311,7 +311,7 @@ impl Context {
     }
 
     /// Train a Seq2Seq model under the checkpoint plan (when one is
-    /// configured), mirroring [`Self::fit_gbdt`]: epoch state — weights,
+    /// configured), mirroring `fit_gbdt`: epoch state — weights,
     /// Adam moments, best-validation snapshot — checkpoints atomically to
     /// `{key}.ckpt.l5gm` every `every` epochs, and `resume` restores it.
     /// Returns the per-epoch training losses.

@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "L5GM"
-//!      4     2  format version (u16 LE, currently 2; v1 still readable)
+//!      4     2  format version (u16 LE, currently 2)
 //!      6     1  kind     (0 = regressor, 1 = classifier, 2 = training
 //!                         checkpoint)
 //!      7     1  family   (regressor: 1 GDBT, 2 RF, 3 KNN, 4 Harmonic,
@@ -23,18 +23,16 @@
 //!      8     1  spec presence (0 = none, 1 = FeatureSpec follows)
 //!      9     …  FeatureSpec  (set tag u8, history_window u32) when present
 //!      …     …  family payload (model-defined, see `lumos5g-ml::codec`)
-//!   last     4  CRC32 (IEEE, LE) of every preceding byte — v2 only
+//!   last     4  CRC32 (IEEE, LE) of every preceding byte
 //! ```
 //!
 //! Versioning policy: the format version is bumped on any incompatible
-//! layout change; loaders reject unknown versions and unknown family tags
-//! with a typed error rather than guessing. Writers always emit v2; v1
-//! files (no checksum, no Kriging/checkpoint kinds, shorter Seq2Seq
-//! params) still decode. For v2 the trailing CRC32 is verified *before*
-//! any payload decoding, so a torn or bit-flipped file surfaces as
-//! [`PersistError::CrcMismatch`] rather than a structurally plausible but
-//! wrong model. Trailing bytes after the payload are treated as
-//! corruption.
+//! layout change; loaders reject every other version and unknown family
+//! tags with a typed error rather than guessing. The trailing CRC32 is
+//! verified *before* any payload decoding, so a torn or bit-flipped file
+//! surfaces as [`PersistError::CrcMismatch`] rather than a structurally
+//! plausible but wrong model. Trailing bytes after the payload are
+//! treated as corruption.
 //!
 //! Saves go through [`atomic_write`]: temp file in the target directory,
 //! `fsync`, `rename` over the destination, `fsync` of the directory — a
@@ -56,10 +54,8 @@ use std::path::{Path, PathBuf};
 
 /// File magic: the first four bytes of every saved model.
 pub const MAGIC: [u8; 4] = *b"L5GM";
-/// Current wire-format version (written on save).
+/// Wire-format version: the only one written and read.
 pub const FORMAT_VERSION: u16 = 2;
-/// Oldest wire-format version this build still reads.
-pub const MIN_FORMAT_VERSION: u16 = 1;
 /// Conventional extension for saved models.
 pub const MODEL_EXTENSION: &str = "l5gm";
 
@@ -82,7 +78,7 @@ pub enum PersistError {
     Io(io::Error),
     /// The file does not start with the `L5GM` magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion(u16),
     /// The file holds a classifier where a regressor was expected (or vice
     /// versa).
@@ -114,8 +110,7 @@ impl fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported format version {v} (this build reads \
-                     {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                    "unsupported format version {v} (this build reads {FORMAT_VERSION})"
                 )
             }
             PersistError::WrongKind { expected, found } => {
@@ -225,13 +220,12 @@ fn put_seq2seq_params(w: &mut ByteWriter, p: &Seq2SeqParams) {
     w.put_f64(p.lr);
     w.put_len(p.stride);
     w.put_u64(p.seed);
-    // v2 additions: early-stopping configuration.
     w.put_f64(p.val_fraction);
     w.put_len(p.patience);
 }
 
-fn get_seq2seq_params(r: &mut ByteReader<'_>, version: u16) -> Result<Seq2SeqParams, PersistError> {
-    let mut p = Seq2SeqParams {
+fn get_seq2seq_params(r: &mut ByteReader<'_>) -> Result<Seq2SeqParams, PersistError> {
+    Ok(Seq2SeqParams {
         input_len: r.len()?,
         horizon: r.len()?,
         hidden: r.len()?,
@@ -241,15 +235,9 @@ fn get_seq2seq_params(r: &mut ByteReader<'_>, version: u16) -> Result<Seq2SeqPar
         lr: r.f64()?,
         stride: r.len()?,
         seed: r.u64()?,
-        // v1 files predate early stopping: disabled, matching old behavior.
-        val_fraction: 0.0,
-        patience: 0,
-    };
-    if version >= 2 {
-        p.val_fraction = r.f64()?;
-        p.patience = r.len()?;
-    }
-    Ok(p)
+        val_fraction: r.f64()?,
+        patience: r.len()?,
+    })
 }
 
 fn put_header(w: &mut ByteWriter, kind: u8) {
@@ -258,19 +246,19 @@ fn put_header(w: &mut ByteWriter, kind: u8) {
     w.put_u8(kind);
 }
 
-/// Checks magic + version, returns `(version, kind byte)`.
-fn get_header(r: &mut ByteReader<'_>) -> Result<(u16, u8), PersistError> {
+/// Checks magic + version, returns the kind byte.
+fn get_header(r: &mut ByteReader<'_>) -> Result<u8, PersistError> {
     if r.take(4)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
     let version = r.u16()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    Ok((version, r.u8()?))
+    Ok(r.u8()?)
 }
 
-/// Append the v2 trailer: a CRC32 of every byte written so far.
+/// Append the trailer: a CRC32 of every byte written so far.
 fn seal(w: ByteWriter) -> Vec<u8> {
     let mut bytes = w.into_bytes();
     let crc = crc32(&bytes);
@@ -279,11 +267,11 @@ fn seal(w: ByteWriter) -> Vec<u8> {
 }
 
 /// Validate the container around `bytes` and return the payload slice
-/// (header included, trailer stripped for v2).
+/// (header included, trailer stripped).
 ///
-/// The version is read *before* the checksum is checked so a genuinely
-/// newer file reports [`PersistError::UnsupportedVersion`], and the
-/// checksum is checked *before* any payload decoding so corruption
+/// The version is read *before* the checksum is checked so a file of
+/// another format version reports [`PersistError::UnsupportedVersion`],
+/// and the checksum is checked *before* any payload decoding so corruption
 /// surfaces as [`PersistError::CrcMismatch`] rather than a garbage decode.
 fn split_container(bytes: &[u8]) -> Result<&[u8], PersistError> {
     let mut peek = ByteReader::new(bytes);
@@ -291,11 +279,8 @@ fn split_container(bytes: &[u8]) -> Result<&[u8], PersistError> {
         return Err(PersistError::BadMagic);
     }
     let version = peek.u16()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
-    }
-    if version < 2 {
-        return Ok(bytes);
     }
     let trailer_at =
         bytes
@@ -381,7 +366,7 @@ pub fn decode_regressor(bytes: &[u8]) -> Result<TrainedRegressor, PersistError> 
 }
 
 fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, PersistError> {
-    let (version, kind) = get_header(r)?;
+    let kind = get_header(r)?;
     if kind != KIND_REGRESSOR {
         return Err(PersistError::WrongKind {
             expected: "regressor",
@@ -423,7 +408,7 @@ fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, Per
         },
         FAM_SEQ2SEQ => {
             let spec = need_spec(spec)?;
-            let params = get_seq2seq_params(r, version)?;
+            let params = get_seq2seq_params(r)?;
             let x_scaler = StandardScaler::decode(r)?;
             let y_scaler = TargetScaler {
                 mean: r.f64()?,
@@ -501,7 +486,7 @@ pub fn encode_classifier(model: &TrainedClassifier) -> Result<Vec<u8>, PersistEr
 pub fn decode_classifier(bytes: &[u8]) -> Result<TrainedClassifier, PersistError> {
     let payload = split_container(bytes)?;
     let mut r = ByteReader::new(payload);
-    let (_version, kind) = get_header(&mut r)?;
+    let kind = get_header(&mut r)?;
     if kind != KIND_CLASSIFIER {
         return Err(PersistError::WrongKind {
             expected: "classifier",
@@ -576,7 +561,7 @@ pub fn encode_checkpoint(ckpt: &TrainingCheckpoint) -> Vec<u8> {
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<TrainingCheckpoint, PersistError> {
     let payload = split_container(bytes)?;
     let mut r = ByteReader::new(payload);
-    let (_version, kind) = get_header(&mut r)?;
+    let kind = get_header(&mut r)?;
     if kind != KIND_CHECKPOINT {
         return Err(PersistError::WrongKind {
             expected: "training checkpoint",
@@ -805,8 +790,8 @@ mod tests {
         let seqs = crate::build_sequences(&data, &spec, p.input_len, p.horizon, p.stride);
         assert!(!seqs.inputs.is_empty());
         for hist in seqs.inputs.iter().take(16) {
-            let want = model.predict_sequence_checked(hist).unwrap();
-            let got = loaded.predict_sequence_checked(hist).unwrap();
+            let want = model.predict_sequence_batch(&[hist]).unwrap().remove(0);
+            let got = loaded.predict_sequence_batch(&[hist]).unwrap().remove(0);
             assert_eq!(want.len(), got.len());
             for (a, b) in want.iter().zip(&got) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -853,7 +838,7 @@ mod tests {
             Err(PersistError::UnsupportedVersion(999))
         ));
 
-        // Any payload byte flip — family tag included — fails the v2
+        // Any payload byte flip — family tag included — fails the
         // checksum before the decoder ever sees the bogus tag.
         let mut bad_family = bytes.clone();
         bad_family[7] = 0xEE;
@@ -894,9 +879,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_without_checksum_still_decode() {
-        // A v1 Harmonic file, exactly as the previous release wrote it:
-        // magic + version 1 + kind + family + no spec + window, no trailer.
+    fn v1_files_are_rejected_as_unsupported() {
+        // A version-1 Harmonic file: magic + version 1 + kind + family +
+        // no spec + window, no trailer. Only version 2 is read.
         let mut w = ByteWriter::new();
         w.put_bytes(&MAGIC);
         w.put_u16(1);
@@ -905,8 +890,10 @@ mod tests {
         w.put_u8(0); // no spec
         w.put_u32(9);
         let bytes = w.into_bytes();
-        let loaded = decode_regressor(&bytes).unwrap();
-        assert!(matches!(loaded, TrainedRegressor::Harmonic { window: 9 }));
+        assert!(matches!(
+            decode_regressor(&bytes),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

@@ -436,98 +436,58 @@ impl TrainedRegressor {
     }
 
     /// Multi-step prediction for one feature-vector history (Seq2Seq only;
-    /// other models return a one-step vector).
+    /// other models return a one-step vector): the offline convenience
+    /// wrapper over a one-lane [`Self::predict_sequence_batch`].
     ///
     /// Panics on an empty history or a family with no sequence form
-    /// (Kriging, HarmonicMean); the serving engine uses the non-panicking
-    /// [`Self::predict_sequence_checked`] instead.
+    /// (Kriging, HarmonicMean); the serving engine calls the non-panicking
+    /// batch form instead.
     pub fn predict_sequence(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        match self {
-            TrainedRegressor::Kriging { .. } | TrainedRegressor::Harmonic { .. } => {
-                panic!("predict_sequence is not defined for Kriging/HarmonicMean")
-            }
-            _ => self
-                .predict_sequence_checked(history)
-                .expect("non-empty history"),
-        }
+        self.predict_sequence_batch(&[history])
+            .and_then(|mut lanes| lanes.pop())
+            .expect("a non-empty history and a family with a sequence form")
     }
 
-    /// Non-panicking multi-step prediction: the serving-engine sequence
-    /// path. For Seq2Seq, scales `history` with the training-time feature
-    /// scaler, decodes the full `horizon`, and inverse-scales — exactly the
-    /// offline [`Self::predict_sequence`] code path, so online horizons are
-    /// bit-identical to offline ones. Tabular families (GDBT / KNN / RF)
-    /// return a one-step vector from the last history row. Returns `None`
-    /// for an empty history (a warm-up session) or a family with no
-    /// sequence form (Kriging, HarmonicMean), so a short history or a
-    /// hot-swapped family can never unwind a shard worker.
-    pub fn predict_sequence_checked(&self, history: &[Vec<f64>]) -> Option<Vec<f64>> {
-        match self {
-            TrainedRegressor::Seq2Seq {
-                model,
-                x_scaler,
-                y_scaler,
-                ..
-            } => {
-                let scaled: Vec<Vec<f64>> =
-                    history.iter().map(|x| x_scaler.transform_row(x)).collect();
-                Some(
-                    model
-                        .predict_checked(&scaled)?
-                        .into_iter()
-                        .map(|z| y_scaler.inverse(z))
-                        .collect(),
-                )
-            }
-            TrainedRegressor::Gdbt { model, .. } => {
-                history.last().map(|x| vec![model.predict_row(x)])
-            }
-            TrainedRegressor::Knn { model, .. } => {
-                history.last().map(|x| vec![model.predict_row(x)])
-            }
-            TrainedRegressor::RandomForest { model, .. } => {
-                history.last().map(|x| vec![model.predict_row(x)])
-            }
-            TrainedRegressor::Kriging { .. } | TrainedRegressor::Harmonic { .. } => None,
-        }
-    }
-
-    /// Batched multi-step prediction over several histories at once — the
-    /// serving engine's batched-decoder dispatch. Lane `i` of the result is
-    /// bit-identical to `predict_sequence_checked(histories[i])` (the
-    /// Seq2Seq matmuls are row-blocked, which reorders memory traffic but
-    /// never per-lane floating-point operations). Returns `None` under the
-    /// same conditions as the single-history form: any empty lane, or a
-    /// family with no sequence form.
+    /// Multi-step prediction over several feature-vector histories at once
+    /// — the serving engine's batched-decoder dispatch. For Seq2Seq, each
+    /// history is scaled with the training-time feature scaler, decoded
+    /// for the full `horizon` and inverse-scaled. Lane `i` is bit-identical
+    /// to decoding `histories[i]` alone (the Seq2Seq matmuls are
+    /// row-blocked, which reorders memory traffic but never per-lane
+    /// floating-point operations), so online horizons match offline ones
+    /// for any batch size. Tabular families (GDBT / KNN / RF) return a
+    /// one-step vector from each history's last row. Returns `None` for
+    /// any empty history (a warm-up session) or a family with no sequence
+    /// form (Kriging, HarmonicMean), so a short history or a hot-swapped
+    /// family can never unwind a shard worker.
     pub fn predict_sequence_batch(&self, histories: &[&[Vec<f64>]]) -> Option<Vec<Vec<f64>>> {
-        match self {
-            TrainedRegressor::Seq2Seq {
-                model,
-                x_scaler,
-                y_scaler,
-                ..
-            } => {
-                if histories.iter().any(|h| h.is_empty()) {
-                    return None;
-                }
-                let scaled: Vec<Vec<Vec<f64>>> = histories
-                    .iter()
-                    .map(|h| h.iter().map(|x| x_scaler.transform_row(x)).collect())
-                    .collect();
-                let refs: Vec<&[Vec<f64>]> = scaled.iter().map(|s| s.as_slice()).collect();
-                Some(
-                    model
-                        .predict_batch(&refs)?
-                        .into_iter()
-                        .map(|lane| lane.into_iter().map(|z| y_scaler.inverse(z)).collect())
-                        .collect(),
-                )
-            }
-            _ => histories
+        let TrainedRegressor::Seq2Seq {
+            model,
+            x_scaler,
+            y_scaler,
+            ..
+        } = self
+        else {
+            return histories
                 .iter()
-                .map(|h| self.predict_sequence_checked(h))
-                .collect(),
+                .map(|h| Some(vec![self.predict_one(h.last()?)?]))
+                .collect();
+        };
+        if histories.iter().any(|h| h.is_empty()) {
+            return None;
         }
+        let scaled: Vec<Vec<Vec<f64>>> = histories
+            .iter()
+            .map(|h| h.iter().map(|x| x_scaler.transform_row(x)).collect())
+            .collect();
+        let refs: Vec<&[Vec<f64>]> = scaled.iter().map(|s| s.as_slice()).collect();
+        Some(
+            model
+                .predict_batch(&refs)?
+                .into_iter()
+                .map(|lane| lane.into_iter().map(|z| y_scaler.inverse(z)).collect())
+                .collect(),
+        )
     }
 
     /// Sequence-model hyperparameters (Seq2Seq only). Serving engines use
@@ -817,12 +777,15 @@ mod tests {
         let hist: Vec<Vec<f64>> = (0..10).map(|i| spec.extract(&recs, i).unwrap()).collect();
         assert_eq!(m.predict_sequence(&hist).len(), p.horizon);
 
-        // The checked surface agrees bit-for-bit with the legacy one and
+        // A one-lane batch agrees bit-for-bit with the offline wrapper and
         // types out the empty-history case instead of panicking.
-        let checked = m.predict_sequence_checked(&hist).unwrap();
+        let checked = m
+            .predict_sequence_batch(&[hist.as_slice()])
+            .unwrap()
+            .remove(0);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&checked), bits(&m.predict_sequence(&hist)));
-        assert_eq!(m.predict_sequence_checked(&[]), None);
+        assert_eq!(m.predict_sequence_batch(&[&[]]), None);
         assert_eq!(m.seq2seq_params(), Some(&p));
 
         // Batched inference is lane-for-lane bit-identical to singles.
@@ -842,13 +805,12 @@ mod tests {
         let kriging = Lumos5G::new(FeatureSet::L, ModelKind::Kriging { neighbors: 12 })
             .fit_regression(&data)
             .unwrap();
-        assert_eq!(kriging.predict_sequence_checked(&hist), None);
         assert_eq!(kriging.predict_sequence_batch(&[hist.as_slice()]), None);
         assert_eq!(kriging.seq2seq_params(), None);
         let harmonic = Lumos5G::new(FeatureSet::L, ModelKind::HarmonicMean { window: 5 })
             .fit_regression(&data)
             .unwrap();
-        assert_eq!(harmonic.predict_sequence_checked(&hist), None);
+        assert_eq!(harmonic.predict_sequence_batch(&[hist.as_slice()]), None);
 
         // Tabular families reduce to a one-step vector from the last row.
         let gdbt = Lumos5G::new(FeatureSet::LM, ModelKind::Gdbt(quick_gbdt()))
@@ -857,10 +819,11 @@ mod tests {
         let spec = FeatureSpec::new(FeatureSet::LM);
         let row = spec.extract(&data.records, 0).unwrap();
         let got = gdbt
-            .predict_sequence_checked(std::slice::from_ref(&row))
-            .unwrap();
+            .predict_sequence_batch(&[std::slice::from_ref(&row)])
+            .unwrap()
+            .remove(0);
         assert_eq!(got, vec![gdbt.predict_one(&row).unwrap()]);
-        assert_eq!(gdbt.predict_sequence_checked(&[]), None);
+        assert_eq!(gdbt.predict_sequence_batch(&[&[]]), None);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl Param {
 /// This is the serving-side building block for batched Seq2Seq decoding,
 /// and it attacks the scalar path's actual bottleneck: one dot product is
 /// a single serial `fadd` dependency chain, so an unbatched matvec runs at
-/// FP-add *latency*, not throughput. Here up to [`LANE_TILE`] lanes advance
+/// FP-add *latency*, not throughput. Here up to `LANE_TILE` lanes advance
 /// through each weight row in lockstep — independent accumulator chains
 /// the CPU overlaps — and each weight element is loaded once per lane tile
 /// instead of once per lane. Every lane still accumulates its dot product

@@ -40,7 +40,7 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// What to do when a shard queue is full.
     pub policy: OverloadPolicy,
-    /// Per-call model time budget: a `predict_one` slower than this is
+    /// Per-call model time budget: a model call slower than this is
     /// answered by the harmonic fallback instead (tagged `degraded`).
     /// `None` (the default) disables the clock entirely, keeping the
     /// fault-free hot path free of `Instant::now` calls.
@@ -333,8 +333,8 @@ impl Engine {
             .spec()
             .copied()
             .unwrap_or_else(|| FeatureSpec::new(FeatureSet::L));
-        // Sequence-serving mode is fixed at engine start from the initial
-        // model, like the spec: hot swaps must keep the model family.
+        // Whether shards hand the model rows or feature histories is fixed
+        // at engine start from the initial model, like the spec.
         let seq = registry
             .current()
             .regressor

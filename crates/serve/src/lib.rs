@@ -11,20 +11,26 @@
 //! Architecture (one [`engine::Engine`]):
 //!
 //! ```text
-//!                      ┌────────── shard 0 ── sessions {ue → window} ─┐
-//!  submit(ue, record) ─┤ hash(ue) ─ shard 1 ── extract_latest ────────┼─→ responses
-//!                      └────────── shard N ── registry.predict_one ───┘
+//!                      ┌────────── shard 0 ── drain a dispatch ───────┐
+//!  submit(ue, record) ─┤ hash(ue) ─ shard 1 ── sessions + extract ────┼─→ responses
+//!                      └────────── shard N ── one model call ─────────┘
 //! ```
 //!
 //! * **UE affinity** — records are routed to a shard by UE-id hash, so one
 //!   UE's stream is always processed by one worker in arrival order; the
 //!   per-session sliding window ([`session::Session`]) that feeds the `C`
 //!   feature group is therefore race-free without locks.
+//! * **One dispatch loop** — every shard runs the same loop for every
+//!   model family: drain up to a batch of queued records (one per UE),
+//!   update their sessions, make one model call, answer in dequeue order.
+//!   Single-row families (GDBT, KNN, RF) dispatch one record at a time.
 //! * **Bit-exact with offline eval** — shards build features through
 //!   [`lumos5g::FeatureSpec::extract_latest`] and predict through
-//!   [`lumos5g::TrainedRegressor::predict_one`], the very code paths the
-//!   offline `eval` reduces to, so online predictions are bit-identical to
-//!   the training-time numbers (asserted by the workspace `serving` test).
+//!   [`lumos5g::TrainedRegressor::predict_one`] (or, for Seq2Seq,
+//!   [`lumos5g::TrainedRegressor::predict_sequence_batch`]), the very code
+//!   paths the offline `eval` reduces to, so online predictions are
+//!   bit-identical to the training-time numbers (asserted by the workspace
+//!   `serving` test).
 //! * **Hot swap, gated** — [`registry::ModelRegistry`] atomically replaces
 //!   the served model mid-stream; in-flight records finish on the version
 //!   they started with and responses carry the version that produced them.
@@ -45,8 +51,8 @@
 //!   silent), and a dequeue-side staleness deadline.
 //! * **Sequence serving** — when the engine starts with a Seq2Seq model,
 //!   sessions additionally retain the per-second feature-vector history its
-//!   encoder consumes, and shards opportunistically answer up to
-//!   [`engine::EngineConfig::decode_batch`] queued records (one per UE) with
+//!   encoder consumes, and a dispatch drains up to
+//!   [`engine::EngineConfig::decode_batch`] queued records (one per UE) for
 //!   a single batched decoder call. Responses carry the full k-step horizon
 //!   ([`shard::Prediction::horizon_mbps`]) and are bit-identical to the
 //!   offline `predict_sequence` for any shard count and batch size.
@@ -85,4 +91,4 @@ pub use registry::{
 };
 pub use replay::{ReplaySource, ReplayStats};
 pub use session::Session;
-pub use shard::{Ingest, Prediction, SequenceServing, ShardContext};
+pub use shard::{Ingest, Prediction};

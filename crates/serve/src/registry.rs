@@ -1,7 +1,7 @@
 //! Versioned model registry with atomic hot swap, durable generations and
 //! validation-gated publishing.
 //!
-//! Shards read the current model once per record; an operator thread can
+//! Shards read the current model once per dispatch; an operator thread can
 //! [`ModelRegistry::swap`] in a retrained model at any time without pausing
 //! ingest. Records already dispatched keep the `Arc` of the version they
 //! started with — a swap can never tear a prediction.
@@ -14,8 +14,7 @@
 //! generation chain newest → oldest until one file passes its CRC and
 //! decodes, reporting every skipped checkpoint in a typed [`LoadReport`] —
 //! a crash mid-write, a torn rename or a bad disk costs at most the newest
-//! generation, never a torn model. The legacy `model-v{N}.l5gm` naming from
-//! earlier releases is still recognised.
+//! generation, never a torn model.
 //!
 //! **Gating.** A [`Gatekeeper`] replays a golden slice of held-out records
 //! through every candidate before it is published: candidates that panic,
@@ -241,40 +240,26 @@ impl ModelRegistry {
     }
 }
 
-/// Every model checkpoint in `dir`, newest generation first. Recognises
-/// both the current `model.gen-{N}.l5gm` layout and the legacy
-/// `model-v{N}.l5gm` naming; when both exist for one generation the
-/// current layout wins.
+/// Every `model.gen-{N}.l5gm` checkpoint in `dir`, newest generation
+/// first.
 fn list_generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
-    let mut found: Vec<(u64, bool, PathBuf)> = Vec::new();
+    let mut found: Vec<(u64, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
         if let Some(version) = parse_generation(name) {
-            found.push((version, true, path));
-        } else if let Some(version) = parse_legacy_version(name) {
-            found.push((version, false, path));
+            found.push((version, path));
         }
     }
-    // Newest first; within a generation the current naming sorts ahead.
-    found.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)));
-    found.dedup_by_key(|c| c.0);
-    Ok(found.into_iter().map(|(v, _, p)| (v, p)).collect())
+    found.sort_unstable_by_key(|(version, _)| std::cmp::Reverse(*version));
+    Ok(found)
 }
 
 /// Parse `model.gen-{N}.l5gm` → `N`.
 fn parse_generation(name: &str) -> Option<u64> {
     name.strip_prefix("model.gen-")?
-        .strip_suffix(".l5gm")?
-        .parse()
-        .ok()
-}
-
-/// Parse the legacy `model-v{N}.l5gm` → `N`.
-fn parse_legacy_version(name: &str) -> Option<u64> {
-    name.strip_prefix("model-v")?
         .strip_suffix(".l5gm")?
         .parse()
         .ok()
@@ -512,9 +497,7 @@ mod tests {
         assert_eq!(parse_generation("model.gen-0.l5gm"), Some(0));
         assert_eq!(parse_generation("model.gen-.l5gm"), None);
         assert_eq!(parse_generation("model.gen-12.tmp"), None);
-        assert_eq!(parse_legacy_version("model-v12.l5gm"), Some(12));
-        assert_eq!(parse_legacy_version("model-v12.bin"), None);
-        assert_eq!(parse_legacy_version("checkpoint.l5gm"), None);
+        assert_eq!(parse_generation("model-v12.l5gm"), None);
     }
 
     #[test]
@@ -541,19 +524,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_still_restores() {
+    fn legacy_model_v_names_are_not_generations() {
         let dir = std::env::temp_dir().join(format!("l5gm-registry-legacy-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        // A pre-generation-layout directory: legacy names only.
+        // A valid model under a `model-v{N}` name restores nothing: the
+        // directory reads as empty.
         lumos5g::persist::save_regressor(&dummy_model(6), &dir.join("model-v4.l5gm")).unwrap();
-        lumos5g::persist::save_regressor(&dummy_model(2), &dir.join("model-v2.l5gm")).unwrap();
-        let restored = ModelRegistry::load_dir(&dir).unwrap();
-        assert_eq!(restored.version(), 4);
-        assert!(matches!(
-            *restored.current().regressor,
-            TrainedRegressor::Harmonic { window: 6 }
-        ));
+        match ModelRegistry::load_dir(&dir) {
+            Err(PersistError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            other => panic!("expected NotFound, got {:?}", other.map(|r| r.version())),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,23 +1,31 @@
 //! Shard worker: owns the sessions of the UEs hashed to it and turns each
 //! incoming record into (at most) one prediction.
 //!
+//! Every model family runs through one dispatch loop (`run_shard`). A
+//! dispatch takes up to a batch of already-queued records (one per UE),
+//! updates their sessions, makes one shared model call and answers the
+//! records in dequeue order. Single-row families (GDBT, KNN, RF) dispatch
+//! one record at a time and call `predict_one` on its feature row; a
+//! Seq2Seq dispatch drains up to `decode_batch` records and decodes their
+//! feature histories with one `predict_sequence_batch` call.
+//!
 //! The worker is fault-isolated at two levels. Around the model call, a
-//! fallback chain guarantees a finite answer: if `predict_one` panics,
-//! returns non-finite, or exceeds the configured time budget, the response
-//! is served from the session-local harmonic-mean predictor and tagged
-//! `degraded`. Around the whole record, `catch_unwind` quarantines poison
-//! records — a panic in session update or feature extraction discards the
-//! (possibly torn) session, counts the record as quarantined, and still
-//! emits a degraded response instead of taking the worker down. A panic
-//! that escapes both layers kills the thread; the engine supervisor
-//! respawns it (see `engine.rs`).
+//! fallback chain guarantees a finite answer: if the call panics, returns
+//! non-finite, or exceeds the configured time budget, the response is
+//! served from the session-local harmonic-mean predictor and tagged
+//! `degraded`. Around each record's session update and feature extraction,
+//! `catch_unwind` quarantines poison records — the (possibly torn) session
+//! is discarded, the record is counted as quarantined, and it is still
+//! answered (degraded) instead of taking the worker down. A panic that
+//! escapes both layers kills the thread; the engine supervisor respawns it
+//! (see `engine.rs`).
 
 use crate::fault::{FaultPlan, PredictFault, RecordFault, RecordKey};
 use crate::metrics::ShardMetrics;
 use crate::registry::ModelRegistry;
 use crate::session::{PendingPrediction, Session};
 use crossbeam::channel::{Receiver, Sender};
-use lumos5g::FeatureSpec;
+use lumos5g::{FeatureSpec, TrainedRegressor};
 use lumos5g_sim::Record;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -69,10 +77,10 @@ pub struct Prediction {
     pub degraded: bool,
 }
 
-/// Sequence-serving shard configuration, present when the engine serves a
+/// Sequence-serving configuration, present when the engine serves a
 /// Seq2Seq model (see `EngineConfig::decode_batch`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SequenceServing {
+pub(crate) struct SequenceServing {
     /// Encoder history length the served model was trained with
     /// (`Seq2SeqParams::input_len`).
     pub input_len: usize,
@@ -84,26 +92,25 @@ pub struct SequenceServing {
 /// channels, bundled so the engine supervisor can respawn a worker with
 /// the exact configuration the dead one had.
 #[derive(Debug, Clone)]
-pub struct ShardContext {
+pub(crate) struct ShardContext {
     /// Feature spec the served models were trained with.
     pub spec: FeatureSpec,
     /// Dequeue-side staleness budget (from [`crate::OverloadPolicy::Deadline`]).
     pub stale_after: Option<Duration>,
-    /// Per-call model time budget; a slower `predict_one` falls back to the
+    /// Per-call model time budget; a slower model call falls back to the
     /// harmonic predictor. `None` disables the clock entirely (no
     /// `Instant::now` on the hot path).
     pub predict_budget: Option<Duration>,
     /// Deterministic fault injection (chaos testing); `None` in production.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Sequence-serving mode: `Some` when the served model predicts from a
-    /// feature-vector history (Seq2Seq). `None` serves single-row families
-    /// on the unbatched path.
+    /// `Some` when the served model predicts from a feature-vector history
+    /// (Seq2Seq); `None` serves single rows, one record per dispatch.
     pub seq: Option<SequenceServing>,
 }
 
+#[cfg(test)]
 impl ShardContext {
-    /// A plain production context: no deadline, no budget, no faults,
-    /// single-row serving.
+    /// A plain context: no deadline, no budget, no faults, single rows.
     pub fn new(spec: FeatureSpec) -> Self {
         ShardContext {
             spec,
@@ -115,167 +122,30 @@ impl ShardContext {
     }
 }
 
-/// How one record's prediction was produced.
-struct StepOutcome {
-    predicted: Option<f64>,
-    degraded: bool,
-    fallback: bool,
-    horizon: Option<Vec<f64>>,
-    model_version: u64,
-}
-
-/// Run one shard worker until its ingest channel disconnects.
-///
-/// Per record: update the UE's session window, settle any pending
-/// prediction against the newly measured throughput, extract features via
-/// [`FeatureSpec::extract_latest`] and predict via
-/// `TrainedRegressor::predict_one` on the registry's current model — the
-/// exact offline code paths, which is what makes fault-free serving
-/// bit-exact.
-pub fn run_shard(
-    shard: usize,
-    ctx: ShardContext,
-    registry: Arc<ModelRegistry>,
-    rx: Receiver<Ingest>,
-    out: Sender<Prediction>,
-    metrics: Arc<ShardMetrics>,
-) {
-    if let Some(seq) = ctx.seq {
-        return run_shard_sequence(shard, ctx, seq, registry, rx, out, metrics);
-    }
-    let required = ctx.spec.required_window();
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    for msg in rx.iter() {
-        let Ingest {
-            ue,
-            record,
-            enqueued,
-        } = msg;
-        if let Some(max_age) = ctx.stale_after {
-            if enqueued.elapsed() > max_age {
-                metrics.shed_stale.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        }
-        // Identity and ground truth captured up front, so a panic anywhere
-        // in processing can still be answered (and `window().last()` is no
-        // longer a panic risk).
-        let (pass_id, t, measured) = (record.pass_id, record.t, record.throughput_mbps);
-        let fault = match &ctx.faults {
-            Some(plan) => plan.fault_for(RecordKey::of(ue, &record)),
-            None => RecordFault::NONE,
-        };
-        metrics.processed.fetch_add(1, Ordering::Relaxed);
-
-        let step = panic::catch_unwind(AssertUnwindSafe(|| {
-            if fault.poison {
-                panic!("chaos: injected poison record (ue {ue} pass {pass_id} t {t})");
-            }
-            let session = sessions.entry(ue).or_insert_with(|| Session::new(required));
-            let resets_before = session.resets;
-            if let Some(err) = session.push(record) {
-                metrics.record_error(err);
-            }
-            metrics
-                .resets
-                .fetch_add(session.resets - resets_before, Ordering::Relaxed);
-
-            let model = registry.current();
-            let x = ctx.spec.extract_latest(session.window());
-            let outcome = predict_step(
-                &model.regressor,
-                x,
-                session,
-                fault.predict,
-                ctx.predict_budget,
-            );
-            if let Some(y) = outcome.0 {
-                session.pending = Some(PendingPrediction {
-                    pass_id,
-                    t,
-                    predicted_mbps: y,
-                });
-            }
-            StepOutcome {
-                predicted: outcome.0,
-                degraded: outcome.1,
-                fallback: outcome.1,
-                horizon: None,
-                model_version: model.version,
-            }
-        }));
-        let outcome = match step {
-            Ok(o) => o,
-            Err(_) => {
-                // Poison record: the session may be torn mid-update — drop
-                // it so the UE rebuilds cold — quarantine the record, and
-                // still answer (degraded, no prediction).
-                sessions.remove(&ue);
-                metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-                StepOutcome {
-                    predicted: None,
-                    degraded: true,
-                    fallback: false,
-                    horizon: None,
-                    model_version: registry.current().version,
-                }
-            }
-        };
-        match outcome.predicted {
-            Some(_) => {
-                metrics.predictions.fetch_add(1, Ordering::Relaxed);
-            }
-            None if !outcome.degraded => {
-                metrics.warmups.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {} // quarantined: counted above
-        }
-        if outcome.fallback {
-            metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        let latency_ns = enqueued.elapsed().as_nanos() as u64;
-        metrics.latency.record(latency_ns);
-        if out
-            .send(Prediction {
-                ue,
-                pass_id,
-                t,
-                shard,
-                model_version: outcome.model_version,
-                predicted_mbps: outcome.predicted,
-                measured_mbps: measured,
-                latency_ns,
-                horizon_mbps: outcome.horizon,
-                degraded: outcome.degraded,
-            })
-            .is_err()
-        {
-            // Consumer went away: keep draining so producers never block
-            // on a dead shard, but stop emitting.
-        }
-        if fault.kill_worker {
-            // Injected *after* the response, so supervision is exercised
-            // without violating one-response-per-accepted-record.
-            panic!("chaos: injected worker kill on shard {shard} (ue {ue} pass {pass_id} t {t})");
-        }
-    }
+/// What a ready lane hands the model call.
+enum ModelInput {
+    /// The record's [`FeatureSpec::extract_latest`] row (single-row
+    /// families).
+    Row(Vec<f64>),
+    /// A snapshot of the session's encoder history (Seq2Seq).
+    History(Vec<Vec<f64>>),
 }
 
 /// What phase 1 (session update + feature extraction) decided for one
-/// dequeued record, before the shared model call.
+/// dequeued record, before the dispatch's shared model call.
 enum LaneState {
     /// Panic during session update/extraction: answered degraded-with-None.
     Quarantined,
-    /// Not enough contiguous history yet for an encoder input.
+    /// No feature row yet, or not enough contiguous history to encode.
     Warmup,
     /// An injected predict fault diverts this lane straight to the
-    /// harmonic fallback, never into the shared batch call.
+    /// harmonic fallback, never into the shared model call.
     Fallback,
-    /// A snapshot of the session's encoder history, ready to decode.
-    Ready(Vec<Vec<f64>>),
+    /// Ready for the model call.
+    Ready(ModelInput),
 }
 
-/// One dequeued record flowing through a batched dispatch.
+/// One dequeued record flowing through a dispatch.
 struct Lane {
     ue: u64,
     pass_id: u32,
@@ -285,47 +155,55 @@ struct Lane {
     state: LaneState,
 }
 
-fn fallback_by_ue(sessions: &HashMap<u64, Session>, ue: u64) -> (Option<f64>, bool) {
-    (sessions.get(&ue).and_then(|s| s.harmonic_estimate()), true)
-}
+/// A ready lane's raw model answer: the next-second value, plus the full
+/// horizon for history lanes.
+type Answer = (f64, Option<Vec<f64>>);
 
-/// Run one shard worker in sequence-serving mode until ingest disconnects.
+/// Run one shard worker until its ingest channel disconnects.
 ///
-/// Differs from the single-record loop in two ways. First, each UE session
-/// additionally accumulates the per-second feature vectors a Seq2Seq
-/// encoder consumes, reset together with the record window on any
-/// discontinuity — so a warm session's history is exactly one of the
-/// sliding windows `build_sequences` emits offline. Second, the shard
-/// opportunistically drains up to `seq.batch` already-queued records per
-/// dispatch and answers them with one batched `predict_sequence_batch`
-/// call. The drain is capped at one record per UE: a UE's prediction must
+/// Per dispatch: block for one record, then drain up to the batch cap of
+/// already-queued records — `SequenceServing::batch` for Seq2Seq, 1 for
+/// single-row families, so a row record is never held back behind others.
+/// The drain takes at most one record per UE: a UE's prediction must
 /// settle against its next record before that record is served, so a
-/// same-UE follow-up is carried into the next dispatch. Together with the
-/// bit-exact batched kernels underneath, that makes every response — and
-/// the online MAE — identical for any `decode_batch`, including 1.
+/// same-UE follow-up is carried into the next dispatch. Each record then
+/// updates its UE's session and extracts features through
+/// [`FeatureSpec::extract_latest`]; one model call answers every ready
+/// lane ([`predict_ready`]). These are the exact offline code paths, and
+/// the batched kernels underneath are bit-exact per lane, so every
+/// response — and the online MAE — is identical to offline prediction for
+/// any `decode_batch`, including 1.
 ///
-/// The fallback chain matches the single-record path, applied per batch
-/// where the model call is shared: a panicking or over-budget batch call,
-/// or a lane whose horizon comes back empty/non-finite, answers from that
-/// session's harmonic estimate and is tagged `degraded`.
-fn run_shard_sequence(
+/// A panicking or over-budget call fails every lane it served (the call
+/// was shared, so is the verdict); a lane whose answer is non-finite fails
+/// alone. Failed lanes answer from their session's harmonic estimate,
+/// tagged `degraded`.
+pub(crate) fn run_shard(
     shard: usize,
     ctx: ShardContext,
-    seq: SequenceServing,
     registry: Arc<ModelRegistry>,
     rx: Receiver<Ingest>,
     out: Sender<Prediction>,
     metrics: Arc<ShardMetrics>,
 ) {
     let required = ctx.spec.required_window();
-    let input_len = seq.input_len.max(1);
-    let batch_cap = seq.batch.max(1);
+    let input_len = ctx.seq.map(|s| s.input_len.max(1));
+    let batch_cap = ctx.seq.map_or(1, |s| s.batch.max(1));
     let mut sessions: HashMap<u64, Session> = HashMap::new();
+    // Per-dispatch buffers, kept across dispatches.
+    let mut batch: Vec<Ingest> = Vec::with_capacity(batch_cap);
+    let mut lanes: Vec<Lane> = Vec::with_capacity(batch_cap);
+    let mut answers: Vec<Answer> = Vec::with_capacity(batch_cap);
     let mut carry: Option<Ingest> = None;
     // An armed worker kill waiting for a safe point: the panic must not
     // fire while a drained-but-unanswered carry record is in hand, or that
     // record would vanish from both the queue and the batch.
     let mut pending_kill: Option<(u64, u32, u32)> = None;
+    let fallback = |sessions: &HashMap<u64, Session>, ue: u64| {
+        metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
+        let hm = sessions.get(&ue).and_then(Session::harmonic_estimate);
+        (hm, None, true)
+    };
     loop {
         // Block for the first record, then drain whatever is already queued
         // up to the batch cap (one record per UE). A worker about to die
@@ -338,7 +216,7 @@ fn run_shard_sequence(
                 Err(_) => return, // ingest disconnected and drained
             },
         };
-        let mut batch = vec![first];
+        batch.push(first);
         while pending_kill.is_none() && batch.len() < batch_cap && carry.is_none() {
             match rx.try_recv() {
                 Ok(msg) if batch.iter().any(|b| b.ue == msg.ue) => carry = Some(msg),
@@ -351,8 +229,7 @@ fn run_shard_sequence(
 
         // Phase 1, in dequeue order: session update, feature extraction,
         // per-record panic isolation — everything except the model call.
-        let mut lanes: Vec<Lane> = Vec::with_capacity(batch.len());
-        for msg in batch {
+        for msg in batch.drain(..) {
             let Ingest {
                 ue,
                 record,
@@ -364,6 +241,8 @@ fn run_shard_sequence(
                     continue;
                 }
             }
+            // Identity and ground truth captured up front, so a panic
+            // anywhere in processing can still be answered.
             let (pass_id, t, measured) = (record.pass_id, record.t, record.throughput_mbps);
             let fault = match &ctx.faults {
                 Some(plan) => plan.fault_for(RecordKey::of(ue, &record)),
@@ -379,7 +258,7 @@ fn run_shard_sequence(
                 }
                 let session = sessions
                     .entry(ue)
-                    .or_insert_with(|| Session::for_sequences(required, input_len));
+                    .or_insert_with(|| Session::for_sequences(required, input_len.unwrap_or(0)));
                 let resets_before = session.resets;
                 if let Some(err) = session.push(record) {
                     metrics.record_error(err);
@@ -387,18 +266,26 @@ fn run_shard_sequence(
                 metrics
                     .resets
                     .fetch_add(session.resets - resets_before, Ordering::Relaxed);
-                if let Some(x) = ctx.spec.extract_latest(session.window()) {
-                    session.record_features(x);
-                }
-                if session.feature_len() < input_len {
-                    LaneState::Warmup
-                } else if fault.predict != PredictFault::None {
-                    LaneState::Fallback
-                } else {
-                    LaneState::Ready(session.feature_history().to_vec())
+                let x = ctx.spec.extract_latest(session.window());
+                let input = match input_len {
+                    None => x.map(ModelInput::Row),
+                    Some(n) => {
+                        if let Some(x) = x {
+                            session.record_features(x);
+                        }
+                        (session.feature_len() >= n)
+                            .then(|| ModelInput::History(session.feature_history().to_vec()))
+                    }
+                };
+                match input {
+                    None => LaneState::Warmup,
+                    Some(_) if fault.predict != PredictFault::None => LaneState::Fallback,
+                    Some(input) => LaneState::Ready(input),
                 }
             }));
             let state = state.unwrap_or_else(|_| {
+                // Poison record: the session may be torn mid-update — drop
+                // it so the UE rebuilds cold.
                 sessions.remove(&ue);
                 metrics.quarantined.fetch_add(1, Ordering::Relaxed);
                 LaneState::Quarantined
@@ -413,107 +300,46 @@ fn run_shard_sequence(
             });
         }
 
-        // Phase 2: one model fetch and at most one batched decode for the
+        // Phase 2: one model fetch and at most one model call for the
         // whole dispatch.
         let model = registry.current();
-        let ready: Vec<usize> = lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| matches!(l.state, LaneState::Ready(_)).then_some(i))
-            .collect();
-        let mut horizons: Vec<Option<Vec<f64>>> = vec![None; lanes.len()];
-        let mut no_sequence_form = false;
-        if !ready.is_empty() {
-            let histories: Vec<&[Vec<f64>]> = ready
-                .iter()
-                .map(|&i| match &lanes[i].state {
-                    LaneState::Ready(h) => h.as_slice(),
-                    _ => unreachable!("filtered to ready lanes"),
-                })
-                .collect();
+        let mut no_form = false;
+        if lanes.iter().any(|l| matches!(l.state, LaneState::Ready(_))) {
             let started = ctx.predict_budget.map(|_| Instant::now());
-            let raw = panic::catch_unwind(AssertUnwindSafe(|| {
-                model.regressor.predict_sequence_batch(&histories)
+            let called = panic::catch_unwind(AssertUnwindSafe(|| {
+                predict_ready(&model.regressor, &lanes, &mut answers)
             }));
-            match raw {
-                Ok(Some(decoded)) => {
-                    let over_budget = match (ctx.predict_budget, started) {
-                        (Some(budget), Some(started)) => started.elapsed() > budget,
-                        _ => false,
-                    };
-                    // Over budget: leave every slot None so all ready lanes
-                    // fall back (the call was shared, so is the verdict).
-                    if !over_budget {
-                        for (&slot, h) in ready.iter().zip(decoded) {
-                            horizons[slot] = Some(h);
-                        }
-                    }
-                }
-                // A hot-swapped model with no sequence form (e.g. harmonic
-                // mean): answer like a warm-up, exactly as the single-record
-                // path does for families without a single-row form.
-                Ok(None) => no_sequence_form = true,
-                Err(_) => {} // model panicked: every ready lane falls back
+            let over_budget = matches!(
+                (ctx.predict_budget, started),
+                (Some(budget), Some(started)) if started.elapsed() > budget
+            );
+            match called {
+                Ok(false) => no_form = true,
+                Ok(true) if !over_budget => {}
+                // Panicked or over budget: every ready lane falls back.
+                _ => answers.clear(),
             }
         }
 
         // Emit in dequeue order.
-        for (idx, lane) in lanes.into_iter().enumerate() {
-            let outcome = match lane.state {
-                LaneState::Quarantined => StepOutcome {
-                    predicted: None,
-                    degraded: true,
-                    fallback: false,
-                    horizon: None,
-                    model_version: model.version,
-                },
-                LaneState::Warmup => StepOutcome {
-                    predicted: None,
-                    degraded: false,
-                    fallback: false,
-                    horizon: None,
-                    model_version: model.version,
-                },
-                LaneState::Fallback => {
-                    let (predicted, degraded) = fallback_by_ue(&sessions, lane.ue);
-                    StepOutcome {
-                        predicted,
-                        degraded,
-                        fallback: true,
-                        horizon: None,
-                        model_version: model.version,
+        let mut answered = answers.drain(..);
+        for lane in lanes.drain(..) {
+            let (predicted, horizon, degraded) = match lane.state {
+                LaneState::Quarantined => (None, None, true),
+                LaneState::Warmup => (None, None, false),
+                LaneState::Fallback => fallback(&sessions, lane.ue),
+                // A hot-swapped model with no form for this lane (e.g. the
+                // harmonic mean): answer like a warm-up.
+                LaneState::Ready(_) if no_form => (None, None, false),
+                LaneState::Ready(_) => match answered.next() {
+                    Some((y, h)) if y.is_finite() && h.iter().flatten().all(|v| v.is_finite()) => {
+                        (Some(y), h, false)
                     }
-                }
-                LaneState::Ready(_) => match horizons[idx].take() {
-                    Some(h) if !h.is_empty() && h.iter().all(|v| v.is_finite()) => StepOutcome {
-                        predicted: Some(h[0]),
-                        degraded: false,
-                        fallback: false,
-                        horizon: Some(h),
-                        model_version: model.version,
-                    },
-                    None if no_sequence_form => StepOutcome {
-                        predicted: None,
-                        degraded: false,
-                        fallback: false,
-                        horizon: None,
-                        model_version: model.version,
-                    },
-                    // Failed/over-budget batch call, or an empty or
-                    // non-finite horizon for this lane.
-                    _ => {
-                        let (predicted, degraded) = fallback_by_ue(&sessions, lane.ue);
-                        StepOutcome {
-                            predicted,
-                            degraded,
-                            fallback: true,
-                            horizon: None,
-                            model_version: model.version,
-                        }
-                    }
+                    // Failed call, or a non-finite answer for this lane.
+                    _ => fallback(&sessions, lane.ue),
                 },
             };
-            if let Some(y) = outcome.predicted {
+            if let Some(y) = predicted {
                 if let Some(session) = sessions.get_mut(&lane.ue) {
                     session.pending = Some(PendingPrediction {
                         pass_id: lane.pass_id,
@@ -522,25 +348,24 @@ fn run_shard_sequence(
                     });
                 }
                 metrics.predictions.fetch_add(1, Ordering::Relaxed);
-            } else if !outcome.degraded {
+            } else if !degraded {
                 metrics.warmups.fetch_add(1, Ordering::Relaxed);
-            }
-            if outcome.fallback {
-                metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
             }
             let latency_ns = lane.enqueued.elapsed().as_nanos() as u64;
             metrics.latency.record(latency_ns);
+            // A consumer that went away is ignored: keep draining so
+            // producers never block on a dead shard.
             let _ = out.send(Prediction {
                 ue: lane.ue,
                 pass_id: lane.pass_id,
                 t: lane.t,
                 shard,
-                model_version: outcome.model_version,
-                predicted_mbps: outcome.predicted,
+                model_version: model.version,
+                predicted_mbps: predicted,
                 measured_mbps: lane.measured,
                 latency_ns,
-                horizon_mbps: outcome.horizon,
-                degraded: outcome.degraded,
+                horizon_mbps: horizon,
+                degraded,
             });
         }
         if let Some((ue, pass_id, t)) = pending_kill {
@@ -557,59 +382,36 @@ fn run_shard_sequence(
     }
 }
 
-/// The fallback chain around one model call.
-///
-/// Returns `(prediction, degraded)`:
-/// * healthy model, finite output, within budget → `(Some(y), false)` —
-///   bit-identical to the pre-fault-tolerance engine;
-/// * no feature row yet (warm-up) or a family with no single-row form →
-///   `(None, false)`;
-/// * model panicked / returned non-finite / blew the budget → the
-///   session-local harmonic estimate, `(Some(hm), true)` — never a dropped
-///   response, never a NaN.
-fn predict_step(
-    model: &lumos5g::TrainedRegressor,
-    x: Option<Vec<f64>>,
-    session: &Session,
-    fault: PredictFault,
-    budget: Option<Duration>,
-) -> (Option<f64>, bool) {
-    let Some(x) = x else {
-        return (None, false); // warm-up: expected, not degraded
+/// The dispatch's one model call: answers every ready lane, in lane order,
+/// into `answers`. Row lanes call `predict_one` on their feature row;
+/// history lanes share one `predict_sequence_batch` call. Returns `false`
+/// when the served model has no form for these lanes (a hot-swapped
+/// family: Seq2Seq on rows, harmonic mean on either).
+fn predict_ready(model: &TrainedRegressor, lanes: &[Lane], answers: &mut Vec<Answer>) -> bool {
+    let mut histories = Vec::new();
+    for lane in lanes {
+        match &lane.state {
+            LaneState::Ready(ModelInput::Row(x)) => match model.predict_one(x) {
+                Some(y) => answers.push((y, None)),
+                None => return false,
+            },
+            LaneState::Ready(ModelInput::History(h)) => histories.push(h.as_slice()),
+            _ => {}
+        }
+    }
+    if histories.is_empty() {
+        return true;
+    }
+    let Some(decoded) = model.predict_sequence_batch(&histories) else {
+        return false;
     };
-    // An injected Slow fault models a predict call that would have blown
-    // any budget: the (discarded) model output is never computed.
-    if fault == PredictFault::Slow {
-        return fallback(session);
-    }
-    let started = budget.map(|_| Instant::now());
-    let raw = panic::catch_unwind(AssertUnwindSafe(|| {
-        if fault == PredictFault::Panic {
-            panic!("chaos: injected model panic");
-        }
-        let y = model.predict_one(&x);
-        match fault {
-            PredictFault::Nan => y.map(|_| f64::NAN),
-            _ => y,
-        }
-    }));
-    match raw {
-        Ok(Some(y)) if y.is_finite() => {
-            if let (Some(budget), Some(started)) = (budget, started) {
-                if started.elapsed() > budget {
-                    return fallback(session);
-                }
-            }
-            (Some(y), false)
-        }
-        Ok(Some(_nonfinite)) => fallback(session),
-        Ok(None) => (None, false), // family has no single-row form
-        Err(_) => fallback(session),
-    }
-}
-
-fn fallback(session: &Session) -> (Option<f64>, bool) {
-    (session.harmonic_estimate(), true)
+    // An empty horizon has no next-second value: NaN sends it to fallback.
+    answers.extend(
+        decoded
+            .into_iter()
+            .map(|h| (h.first().copied().unwrap_or(f64::NAN), Some(h))),
+    );
+    true
 }
 
 #[cfg(test)]
@@ -846,5 +648,179 @@ mod tests {
         assert!(responses.iter().all(|p| p.predicted_mbps.is_none()));
         assert_eq!(metrics.quarantined.load(Ordering::Relaxed), 6);
         assert_eq!(metrics.processed.load(Ordering::Relaxed), 6);
+    }
+
+    /// One walking pass whose location and throughput move every second,
+    /// so trained models have something to fit.
+    fn walk(pass: u32, n: u32) -> Vec<Record> {
+        (0..n)
+            .map(|t| {
+                let mut r = rec(pass, t, 60.0 + (t % 7) as f64 * 12.0);
+                r.pixel_x += 3 * t as i64;
+                r.pixel_y -= 2 * t as i64;
+                r
+            })
+            .collect()
+    }
+
+    fn train(set: FeatureSet, kind: lumos5g::ModelKind) -> TrainedRegressor {
+        let data = lumos5g_sim::Dataset::new(walk(1, 80));
+        lumos5g::Lumos5G::new(set, kind)
+            .fit_regression(&data)
+            .expect("model trains")
+    }
+
+    fn gdbt(set: FeatureSet) -> TrainedRegressor {
+        train(set, lumos5g::ModelKind::Gdbt(lumos5g::quick_gbdt()))
+    }
+
+    fn seq2seq_lm() -> TrainedRegressor {
+        let mut p = lumos5g::quick_seq2seq();
+        p.epochs = 1;
+        train(FeatureSet::LM, lumos5g::ModelKind::Seq2Seq(p))
+    }
+
+    /// Serve `records` for one UE through a single shard worker.
+    fn serve(
+        ctx: ShardContext,
+        registry: Arc<ModelRegistry>,
+        records: &[Record],
+    ) -> (Vec<Prediction>, Arc<ShardMetrics>) {
+        let metrics = Arc::new(ShardMetrics::new());
+        let (tx, rx) = channel::unbounded();
+        let (out_tx, out_rx) = channel::unbounded();
+        let m = metrics.clone();
+        let worker = std::thread::spawn(move || run_shard(0, ctx, registry, rx, out_tx, m));
+        for r in records {
+            tx.send(Ingest {
+                ue: 5,
+                record: r.clone(),
+                enqueued: Instant::now(),
+            })
+            .unwrap();
+        }
+        drop(tx);
+        worker.join().unwrap();
+        (out_rx.iter().collect(), metrics)
+    }
+
+    /// The harmonic fallback each record would get: a session fed the same
+    /// stream, read right after the record is pushed.
+    fn harmonic_estimates(required: usize, records: &[Record]) -> Vec<u64> {
+        let mut mirror = Session::new(required);
+        records
+            .iter()
+            .map(|r| {
+                mirror.push(r.clone());
+                mirror.harmonic_estimate().unwrap().to_bits()
+            })
+            .collect()
+    }
+
+    /// A zero predict budget: every model call overruns it, so every warm
+    /// lane answers degraded from the session's harmonic estimate.
+    fn assert_zero_budget_falls_back(model: TrainedRegressor, seq: Option<SequenceServing>) {
+        let spec = *model.spec().unwrap();
+        let mut ctx = ShardContext::new(spec);
+        ctx.predict_budget = Some(Duration::ZERO);
+        ctx.seq = seq;
+        let records = walk(2, 30);
+        let (responses, metrics) = serve(ctx, Arc::new(ModelRegistry::new(model)), &records);
+        assert_eq!(responses.len(), records.len());
+        let hm = harmonic_estimates(spec.required_window(), &records);
+        let mut warm = 0u64;
+        for (p, hm) in responses.iter().zip(hm) {
+            if p.degraded {
+                warm += 1;
+                assert_eq!(p.predicted_mbps.map(f64::to_bits), Some(hm), "t {}", p.t);
+            } else {
+                assert_eq!(
+                    p.predicted_mbps, None,
+                    "t {}: served past a zero budget",
+                    p.t
+                );
+            }
+            assert_eq!(p.horizon_mbps, None);
+        }
+        assert!(
+            warm > 0 && warm < records.len() as u64,
+            "warm lanes: {warm}"
+        );
+        assert_eq!(metrics.fallbacks.load(Ordering::Relaxed), warm);
+        assert_eq!(metrics.predictions.load(Ordering::Relaxed), warm);
+        assert_eq!(
+            metrics.warmups.load(Ordering::Relaxed),
+            records.len() as u64 - warm
+        );
+    }
+
+    #[test]
+    fn zero_predict_budget_falls_back_on_every_warm_row_lane() {
+        assert_zero_budget_falls_back(gdbt(FeatureSet::LMC), None);
+    }
+
+    #[test]
+    fn zero_predict_budget_falls_back_on_every_warm_sequence_lane() {
+        let model = seq2seq_lm();
+        let input_len = model.seq2seq_params().unwrap().input_len;
+        let seq = SequenceServing {
+            input_len,
+            batch: 4,
+        };
+        assert_zero_budget_falls_back(model, Some(seq));
+    }
+
+    /// A Seq2Seq model hot-swapped into a shard serving single rows has no
+    /// single-row form: every record is answered like a warm-up.
+    #[test]
+    fn row_shard_answers_a_swapped_in_seq2seq_with_warmups() {
+        let registry = Arc::new(ModelRegistry::new(gdbt(FeatureSet::LM)));
+        let ctx = ShardContext::new(*registry.current().regressor.spec().unwrap());
+        registry.swap(seq2seq_lm());
+        let records = walk(2, 20);
+        let (responses, metrics) = serve(ctx, registry, &records);
+        assert_eq!(responses.len(), records.len());
+        for p in &responses {
+            assert_eq!(p.model_version, 2);
+            assert_eq!(p.predicted_mbps, None);
+            assert_eq!(p.horizon_mbps, None);
+            assert!(!p.degraded);
+        }
+        assert_eq!(metrics.warmups.load(Ordering::Relaxed), 20);
+        assert_eq!(metrics.fallbacks.load(Ordering::Relaxed), 0);
+    }
+
+    /// A GDBT hot-swapped into a shard serving sequences answers from the
+    /// last row of each full history, as a one-step horizon.
+    #[test]
+    fn sequence_shard_answers_a_swapped_in_gdbt_from_the_last_history_row() {
+        let registry = Arc::new(ModelRegistry::new(seq2seq_lm()));
+        let served = registry.current();
+        let spec = *served.regressor.spec().unwrap();
+        let input_len = served.regressor.seq2seq_params().unwrap().input_len;
+        let mut ctx = ShardContext::new(spec);
+        ctx.seq = Some(SequenceServing {
+            input_len,
+            batch: 4,
+        });
+        let model = gdbt(FeatureSet::LM);
+        registry.swap(model.clone());
+        let records = walk(2, 20);
+        let (responses, metrics) = serve(ctx, registry, &records);
+        assert_eq!(responses.len(), records.len());
+        let required = spec.required_window();
+        for (i, p) in responses.iter().enumerate() {
+            assert_eq!(p.model_version, 2);
+            assert!(!p.degraded);
+            let window = &records[(i + 1).saturating_sub(required)..=i];
+            let row = spec.extract_latest(window).unwrap();
+            let want = (i + 1 >= input_len).then(|| model.predict_one(&row).unwrap());
+            assert_eq!(p.predicted_mbps.map(f64::to_bits), want.map(f64::to_bits));
+            assert_eq!(p.horizon_mbps, want.map(|y| vec![y]));
+        }
+        assert_eq!(
+            metrics.predictions.load(Ordering::Relaxed),
+            (records.len() + 1 - input_len) as u64
+        );
     }
 }

@@ -163,7 +163,7 @@ fn load_dir_restores_the_latest_of_several_saved_versions() {
             .fit_regression(&data)
             .unwrap(),
     );
-    registry.store(&dir).unwrap(); // model-v1: KNN
+    registry.store(&dir).unwrap(); // model.gen-1: KNN
     let mut cfg = lumos5g::quick_gbdt();
     cfg.n_estimators = 20;
     registry.swap(
@@ -171,7 +171,7 @@ fn load_dir_restores_the_latest_of_several_saved_versions() {
             .fit_regression(&data)
             .unwrap(),
     );
-    registry.store(&dir).unwrap(); // model-v2: GDBT
+    registry.store(&dir).unwrap(); // model.gen-2: GDBT
 
     let restored = ModelRegistry::load_dir(&dir).unwrap();
     assert_eq!(restored.version(), 2);

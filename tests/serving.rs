@@ -94,7 +94,7 @@ fn sequence_serving_bit_matches_offline_and_any_shard_or_batch_count() {
             h.push(x);
         }
         let horizon = if h.len() >= params.input_len {
-            let y = model.predict_sequence_checked(h).unwrap();
+            let y = model.predict_sequence_batch(&[h]).unwrap().remove(0);
             assert_eq!(y.len(), params.horizon);
             Some(y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
         } else {
