@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 
 use super::context::Context;
-use super::results_dir;
+use super::save_result;
 use crate::table::TableWriter;
 use lumos5g::features::{FeatureSet, FeatureSpec};
 use lumos5g::prelude::*;
@@ -37,7 +37,7 @@ pub fn tcp_conns(_ctx: &mut Context) -> String {
             format!("{:.1}", g / 2_000.0 * 100.0),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("ablate_tcp_conns.csv"));
+    save_result("ablate_tcp_conns.csv", t.to_csv());
     t.render()
 }
 
@@ -94,7 +94,7 @@ pub fn pixelization(ctx: &mut Context) -> String {
             format!("{:.0}", out.rmse),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("ablate_pixelization.csv"));
+    save_result("ablate_pixelization.csv", t.to_csv());
     t.render()
 }
 
@@ -125,7 +125,7 @@ pub fn congestion_control(_ctx: &mut Context) -> String {
             format!("{:.0}", run(CongestionControl::Reno)),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("ablate_congestion_control.csv"));
+    save_result("ablate_congestion_control.csv", t.to_csv());
     t.render()
 }
 
@@ -165,7 +165,7 @@ pub fn gbdt_size(ctx: &mut Context) -> String {
             format!("{mae:.0}"),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("ablate_gbdt_size.csv"));
+    save_result("ablate_gbdt_size.csv", t.to_csv());
     t.render()
 }
 
@@ -219,7 +219,7 @@ pub fn early_stopping(ctx: &mut Context) -> String {
             format!("{mae:.0}"),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("ablate_early_stopping.csv"));
+    save_result("ablate_early_stopping.csv", t.to_csv());
     format!(
         "{}\nvalidation RMSE curve: start {:.0} → best {:.0} Mbps over {} rounds\n",
         t.render(),
@@ -249,7 +249,7 @@ pub fn seq2seq_history(ctx: &mut Context) -> String {
             Err(e) => t.row(&[format!("{input_len}"), e.clone(), e]),
         }
     }
-    let _ = t.save_csv(&results_dir().join("ablate_seq2seq_history.csv"));
+    save_result("ablate_seq2seq_history.csv", t.to_csv());
     t.render()
 }
 
@@ -294,7 +294,7 @@ pub fn hysteresis(ctx: &mut Context) -> String {
             format!("{:.0}", cv * 100.0),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("ablate_hysteresis.csv"));
+    save_result("ablate_hysteresis.csv", t.to_csv());
     t.render()
 }
 

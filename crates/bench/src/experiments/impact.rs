@@ -2,7 +2,7 @@
 //! 17–21.
 
 use super::context::Context;
-use super::results_dir;
+use super::save_result;
 use crate::table::TableWriter;
 use lumos5g::prelude::*;
 use lumos5g_geo::GridIndex;
@@ -240,7 +240,7 @@ pub fn table4(ctx: &mut Context) -> String {
             format!("{:.0}", r_m_rf.mae),
             format!("{:.0}", r_m_rf.rmse),
         ]);
-        let _ = t.save_csv(&results_dir().join(file));
+        save_result(file, t.to_csv());
         let _ = writeln!(out, "{}", t.render());
     }
     out
@@ -269,7 +269,7 @@ pub fn table5(ctx: &mut Context) -> String {
         format!("{:.2}", lo * 100.0),
         format!("{ni}/{no}"),
     ]);
-    let _ = t.save_csv(&results_dir().join("table5.csv"));
+    save_result("table5.csv", t.to_csv());
     t.render()
 }
 
@@ -290,8 +290,7 @@ pub fn fig6(ctx: &mut Context) -> String {
         ),
     ] {
         let map = ThroughputMap::from_dataset(&data);
-        let _ = std::fs::create_dir_all(results_dir());
-        let _ = std::fs::write(results_dir().join(file), map.to_csv());
+        save_result(file, map.to_csv());
         let _ = write!(
             out,
             "=== {label} ===\ncells: {}  buckets <60Mbps: {:.0}%  >1Gbps: {:.0}%\n{}\n",
@@ -331,8 +330,7 @@ pub fn fig7(ctx: &mut Context) -> String {
     for (x, f) in cv_ecdf.curve(60) {
         let _ = writeln!(csv, "cv_percent,{x:.2},{f:.4}");
     }
-    let _ = std::fs::create_dir_all(results_dir());
-    let _ = std::fs::write(results_dir().join("fig7_cdfs.csv"), csv);
+    save_result("fig7_cdfs.csv", csv);
 
     format!(
         "=== Fig 7: throughput similarity & variability (Airport) ===\n\
@@ -373,7 +371,7 @@ fn theta_m_table(data: &Dataset, panel_filter: Option<u32>, title: &str, file: &
             format!("{:.0}", s.mean),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join(file));
+    save_result(file, t.to_csv());
     t.render()
 }
 
@@ -416,8 +414,7 @@ pub fn fig9(ctx: &mut Context) -> String {
     ] {
         let sub = data.by_trajectory(traj);
         let map = ThroughputMap::from_dataset(&sub);
-        let _ = std::fs::create_dir_all(results_dir());
-        let _ = std::fs::write(results_dir().join(file), map.to_csv());
+        save_result(file, map.to_csv());
         let _ = write!(
             out,
             "=== {label} ===\ncells: {}  mean of cell means: {:.0} Mbps\n{}\n",
@@ -450,7 +447,7 @@ pub fn fig10(ctx: &mut Context) -> String {
         format!("{cross_m:.3}"),
         format!("{cross_s:.3}"),
     ]);
-    let _ = t.save_csv(&results_dir().join("fig10_spearman.csv"));
+    save_result("fig10_spearman.csv", t.to_csv());
     t.render()
 }
 
@@ -489,7 +486,7 @@ pub fn fig11(ctx: &mut Context) -> String {
                 format!("{:.0}", s.mean),
             ]);
         }
-        let _ = t.save_csv(&results_dir().join(file));
+        save_result(file, t.to_csv());
         let _ = writeln!(out, "{}", t.render());
     }
     out
@@ -543,7 +540,7 @@ pub fn fig13(ctx: &mut Context) -> String {
             cells[3].clone(),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("fig13_sectors.csv"));
+    save_result("fig13_sectors.csv", t.to_csv());
     t.render()
 }
 
@@ -580,7 +577,7 @@ pub fn fig14(ctx: &mut Context) -> String {
             format!("{:.0}", vals.iter().cloned().fold(0.0, f64::max)),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("fig14a_driving.csv"));
+    save_result("fig14a_driving.csv", t.to_csv());
     let _ = writeln!(out, "{}", t.render());
 
     let mut t = TableWriter::new(
@@ -624,7 +621,7 @@ pub fn fig14(ctx: &mut Context) -> String {
             },
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("fig14b_walk_vs_drive.csv"));
+    save_result("fig14b_walk_vs_drive.csv", t.to_csv());
     let _ = writeln!(out, "{}", t.render());
     out
 }
@@ -649,7 +646,7 @@ pub fn fig17(ctx: &mut Context) -> String {
         format!("{:.1}%", li * 100.0),
         format!("{:.1}%", lo * 100.0),
     ]);
-    let _ = t.save_csv(&results_dir().join("fig17.csv"));
+    save_result("fig17.csv", t.to_csv());
     t.render()
 }
 
@@ -689,7 +686,7 @@ pub fn fig19_20(ctx: &mut Context) -> String {
             format!("{:.1}%", t_plain * 100.0),
             format!("{:.1}%", t_dir * 100.0),
         ]);
-        let _ = t.save_csv(&results_dir().join(file));
+        save_result(file, t.to_csv());
         let _ = writeln!(out, "{}", t.render());
     }
     out
@@ -709,8 +706,7 @@ pub fn fig21(ctx: &mut Context) -> String {
             .collect();
         let _ = writeln!(csv, "{t},{}", cells.join(","));
     }
-    let _ = std::fs::create_dir_all(results_dir());
-    let _ = std::fs::write(results_dir().join("fig21_congestion.csv"), csv);
+    save_result("fig21_congestion.csv", csv);
 
     let window_mean = |tl: &[Option<f64>], a: usize, b: usize| -> f64 {
         let v: Vec<f64> = tl[a..b].iter().filter_map(|x| *x).collect();

@@ -2,7 +2,7 @@
 //! transferability analysis and the App A.4 4G-vs-5G comparison.
 
 use super::context::Context;
-use super::results_dir;
+use super::save_result;
 use crate::table::TableWriter;
 use lumos5g::features::FeatureSpec;
 use lumos5g::prelude::*;
@@ -109,7 +109,7 @@ fn headline_table(ctx: &mut Context, which: Headline) -> String {
         }
         t.row(&row);
     }
-    let _ = t.save_csv(&results_dir().join(file));
+    save_result(file, t.to_csv());
     t.render()
 }
 
@@ -173,9 +173,9 @@ pub fn table9(ctx: &mut Context) -> String {
         t_reg.row(&row_reg);
         t_clf.row(&row_clf);
     }
-    let _ = t_reg.save_csv(&results_dir().join("table9_regression.csv"));
+    save_result("table9_regression.csv", t_reg.to_csv());
     let _ = writeln!(out, "{}", t_reg.render());
-    let _ = t_clf.save_csv(&results_dir().join("table9_classification.csv"));
+    save_result("table9_classification.csv", t_clf.to_csv());
     let _ = writeln!(out, "{}", t_clf.render());
 
     // History-based Harmonic Mean (bottom block of Table 9).
@@ -213,8 +213,7 @@ pub fn fig16(ctx: &mut Context) -> String {
     for (i, (t, p)) in test.ys.iter().zip(&pred).enumerate() {
         let _ = writeln!(csv, "{i},{t:.0},{p:.0}");
     }
-    let _ = std::fs::create_dir_all(results_dir());
-    let _ = std::fs::write(results_dir().join("fig16_regression_traces.csv"), csv);
+    save_result("fig16_regression_traces.csv", csv);
 
     let within: usize = test
         .ys
@@ -271,10 +270,10 @@ pub fn fig22(ctx: &mut Context) -> String {
         for (name, v) in sorted {
             t.row(&[name, format!("{:.1}", v * 100.0)]);
         }
-        let _ = t.save_csv(&results_dir().join(format!(
-            "fig22_importance_{}.csv",
-            set.label().replace('+', "")
-        )));
+        save_result(
+            format!("fig22_importance_{}.csv", set.label().replace('+', "")),
+            t.to_csv(),
+        );
         let _ = writeln!(out, "{}", t.render());
     }
     out
@@ -317,7 +316,7 @@ pub fn fig23(ctx: &mut Context) -> String {
         }
         t.row(&row);
     }
-    let _ = t.save_csv(&results_dir().join("fig23_baselines_per_area.csv"));
+    save_result("fig23_baselines_per_area.csv", t.to_csv());
     t.render()
 }
 
@@ -343,7 +342,7 @@ pub fn transfer(ctx: &mut Context) -> String {
     t.row(&["test samples".into(), format!("{}", r.n_test)]);
     t.row(&["near-field samples".into(), format!("{}", r.n_near)]);
     t.row(&["same-panel control wF1".into(), format!("{control:.2}")]);
-    let _ = t.save_csv(&results_dir().join("transfer.csv"));
+    save_result("transfer.csv", t.to_csv());
     t.render()
 }
 
@@ -386,7 +385,7 @@ pub fn a4(ctx: &mut Context) -> String {
             format!("{:.1}x", m5 / m4),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("a4_4g_vs_5g.csv"));
+    save_result("a4_4g_vs_5g.csv", t.to_csv());
     t.render()
 }
 
@@ -412,7 +411,7 @@ pub fn map_model(ctx: &mut Context) -> String {
         let f = |v: Result<f64, String>| v.map_or("err".into(), |m| format!("{m:.0}"));
         t.row(&[name.into(), f(blind), f(aware), f(learned)]);
     }
-    let _ = t.save_csv(&results_dir().join("map_model.csv"));
+    save_result("map_model.csv", t.to_csv());
     t.render()
 }
 
@@ -501,7 +500,7 @@ pub fn sensitivity(ctx: &mut Context) -> String {
             format!("{:+.0}%", (mae / clean_mae.expect("set") - 1.0) * 100.0),
         ]);
     }
-    let _ = t.save_csv(&results_dir().join("sensitivity.csv"));
+    save_result("sensitivity.csv", t.to_csv());
     t.render()
 }
 
@@ -578,7 +577,7 @@ pub fn temporal(ctx: &mut Context) -> String {
         format!("{m_seas:.0}"),
         format!("{r_seas:.0}"),
     ]);
-    let _ = t.save_csv(&results_dir().join("temporal.csv"));
+    save_result("temporal.csv", t.to_csv());
     t.render()
 }
 
@@ -648,6 +647,6 @@ pub fn horizon(ctx: &mut Context) -> String {
     for (k, e) in abs_err.iter().enumerate() {
         t.row(&[format!("{}", k + 1), format!("{:.0}", e / n as f64)]);
     }
-    let _ = t.save_csv(&results_dir().join("horizon_mae.csv"));
+    save_result("horizon_mae.csv", t.to_csv());
     t.render()
 }

@@ -3,7 +3,10 @@
 //! The interesting entry points are the binaries:
 //! - `src/bin/repro.rs` — regenerates every table and figure of the paper
 //!   (see DESIGN.md for the experiment index).
-//! - `benches/` — Criterion micro-benchmarks of the substrates.
+//! - `src/bin/export_dataset.rs` — writes the simulated campaigns as CSV
+//!   datasets.
+//!
+//! Performance is measured by the repository benchmark, `perfbench/`.
 
 pub mod experiments;
 pub mod table;

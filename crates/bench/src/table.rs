@@ -1,13 +1,11 @@
 //! Minimal fixed-width table rendering for the repro binaries, mirroring the
 //! rows/columns of the paper's tables so outputs can be compared side by
-//! side, plus CSV persistence under `results/`.
+//! side, plus the CSV form that `experiments::save_result` writes under
+//! `results/`.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
-/// Accumulates rows and renders both an aligned text table and a CSV file.
+/// Accumulates rows and renders both an aligned text table and CSV.
 #[derive(Debug, Clone)]
 pub struct TableWriter {
     title: String,
@@ -67,11 +65,8 @@ impl TableWriter {
         print!("{}", self.render());
     }
 
-    /// Persist as CSV at `path`, creating parent directories.
-    pub fn save_csv(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
+    /// The table as CSV: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.header.join(","));
         for row in &self.rows {
@@ -87,7 +82,7 @@ impl TableWriter {
                 .collect();
             let _ = writeln!(out, "{}", escaped.join(","));
         }
-        fs::write(path, out)
+        out
     }
 }
 
@@ -115,11 +110,7 @@ mod tests {
     fn csv_escapes_commas() {
         let mut t = TableWriter::new("demo", &["a"]);
         t.row(&["x,y".into()]);
-        let dir = std::env::temp_dir().join("lumos5g_table_test");
-        let path = dir.join("t.csv");
-        t.save_csv(&path).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
+        let body = t.to_csv();
         assert!(body.contains("\"x,y\""));
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -917,6 +917,10 @@ mod tests {
             Err(SwapRejected::MaeRegression)
         );
         assert_eq!(engine.registry().version(), 1);
+        // The serving GDBT itself, re-offered, matches the seeded baseline
+        // exactly and is admitted.
+        let incumbent = engine.registry().current().regressor.as_ref().clone();
+        assert_eq!(engine.guarded_swap(incumbent), Ok(2));
         let (report, _rx) = engine.shutdown();
         assert_eq!(report.swap_rejected, 1);
         assert_eq!(

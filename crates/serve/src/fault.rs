@@ -155,8 +155,8 @@ impl FaultPlan {
         }
     }
 
-    /// The standard sustained-chaos mix used by `serve_bench --chaos` and
-    /// the chaos test suite: ~0.3 % model panics, ~0.3 % NaN predictions,
+    /// The standard sustained-chaos mix used by the chaos test suite
+    /// (`tests/chaos.rs`): ~0.3 % model panics, ~0.3 % NaN predictions,
     /// ~0.2 % over-budget calls, ~0.1 % poison records, ~0.02 % worker
     /// kills and ~0.5 % corrupt source records.
     pub fn seeded(seed: u64) -> Self {
@@ -169,11 +169,6 @@ impl FaultPlan {
             kill_bp: 2,
             corrupt_bp: 50,
         }
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// A uniform roll in `0..BP_SCALE` for `key` under `salt`.

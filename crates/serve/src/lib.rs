@@ -62,15 +62,15 @@
 //!   answers (tagged `degraded`) when the model panics, returns non-finite,
 //!   or blows its time budget; and a supervisor respawns dead shard workers
 //!   instead of failing shutdown. [`fault::FaultPlan`] injects all of these
-//!   failures deterministically for chaos testing
-//!   (`serve_bench --chaos <seed>`, `tests/chaos.rs`).
+//!   failures deterministically for chaos testing (`tests/chaos.rs`).
 //! * **Observability** — per-shard counters, log-bucketed latency
 //!   histograms (p50/p95/p99), queue-depth gauges and online
 //!   prediction-error tracking ([`metrics`]).
 //!
 //! [`replay::ReplaySource`] turns a simulated campaign [`lumos5g_sim::Dataset`]
-//! into a deterministic multi-UE arrival stream for closed-loop load tests
-//! (`cargo run -p lumos5g-bench --bin serve_bench`).
+//! into a deterministic multi-UE arrival stream for the integration tests
+//! (`tests/{serving,chaos,persistence}.rs`). Service time at a stated offered
+//! load is measured by the repository benchmark (`perfbench/README.md`).
 
 pub mod engine;
 pub mod fault;

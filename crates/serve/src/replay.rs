@@ -1,5 +1,5 @@
-//! Closed-loop load generation: replay a simulated campaign as a
-//! deterministic multi-UE arrival stream.
+//! Deterministic multi-UE arrival streams: replay a simulated campaign
+//! through the engine.
 //!
 //! A campaign [`Dataset`] is a set of per-pass 1 Hz traces. The replay
 //! source assigns passes round-robin to `ues` synthetic UEs (each UE plays
@@ -8,25 +8,23 @@
 //! interleaves the streams tick-by-tick — at tick `k`, every still-active
 //! UE contributes its `k`-th pending record. That models `ues` concurrent
 //! handsets sampling at 1 Hz, and is fully deterministic: no clocks, no
-//! randomness.
+//! randomness. [`ReplaySource::run`] offers the stream as fast as the
+//! engine accepts it; service time at a stated offered load is measured by
+//! `perfbench`, not here.
 
 use crate::engine::{Engine, SubmitOutcome};
 use crate::fault::FaultPlan;
 use lumos5g_sim::{Dataset, Record};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// A pre-computed arrival stream of `(ue, record)` events.
 #[derive(Debug, Clone)]
 pub struct ReplaySource {
     events: Vec<(u64, Record)>,
-    /// `events` index where each 1 Hz tick ends (exclusive).
-    tick_ends: Vec<usize>,
-    ues: usize,
 }
 
 /// Outcome of one replay run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplayStats {
     /// Events offered to the engine.
     pub submitted: u64,
@@ -37,8 +35,6 @@ pub struct ReplayStats {
     pub shed: u64,
     /// Events refused by admission control.
     pub rejected: u64,
-    /// Wall-clock time spent submitting.
-    pub wall: Duration,
 }
 
 impl ReplaySource {
@@ -63,7 +59,6 @@ impl ReplaySource {
         // Tick-interleave the UE streams.
         let total: usize = streams.iter().map(Vec::len).sum();
         let mut events = Vec::with_capacity(total);
-        let mut tick_ends = Vec::new();
         let mut cursors = vec![0usize; ues];
         loop {
             let mut emitted = false;
@@ -77,13 +72,8 @@ impl ReplaySource {
             if !emitted {
                 break;
             }
-            tick_ends.push(events.len());
         }
-        ReplaySource {
-            events,
-            tick_ends,
-            ues,
-        }
+        ReplaySource { events }
     }
 
     /// The arrival stream, in order.
@@ -102,11 +92,6 @@ impl ReplaySource {
         out
     }
 
-    /// Synthetic UEs in the stream.
-    pub fn ues(&self) -> usize {
-        self.ues
-    }
-
     /// Total events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -117,51 +102,19 @@ impl ReplaySource {
         self.events.is_empty()
     }
 
-    /// Push the whole stream into `engine`.
-    ///
-    /// `time_compression` scales the 1 Hz tick: `x1000` means each
-    /// simulated second of all UEs is submitted every millisecond; `0`
-    /// (or anything non-finite/≤ 0) replays as fast as the engine accepts —
-    /// the throughput-benchmark mode.
-    pub fn run(&self, engine: &Engine, time_compression: f64) -> ReplayStats {
-        let paced = time_compression.is_finite() && time_compression > 0.0;
-        let tick_len = if paced {
-            Duration::from_secs_f64(1.0 / time_compression)
-        } else {
-            Duration::ZERO
-        };
-        let start = Instant::now();
-        let mut submitted = 0u64;
-        let mut accepted = 0u64;
-        let mut shed = 0u64;
-        let mut rejected = 0u64;
-        let mut next_deadline = start;
-        let mut tick_start = 0usize;
-        for (tick, &tick_end) in self.tick_ends.iter().enumerate() {
-            if paced && tick > 0 {
-                next_deadline += tick_len;
-                let now = Instant::now();
-                if next_deadline > now {
-                    std::thread::sleep(next_deadline - now);
-                }
+    /// Offer the whole stream to `engine`, in order, as fast as it
+    /// accepts.
+    pub fn run(&self, engine: &Engine) -> ReplayStats {
+        let mut stats = ReplayStats::default();
+        for (ue, record) in &self.events {
+            stats.submitted += 1;
+            match engine.offer(*ue, record.clone()) {
+                SubmitOutcome::Accepted => stats.accepted += 1,
+                SubmitOutcome::Shed => stats.shed += 1,
+                SubmitOutcome::Rejected(_) => stats.rejected += 1,
             }
-            for (ue, record) in &self.events[tick_start..tick_end] {
-                submitted += 1;
-                match engine.offer(*ue, record.clone()) {
-                    SubmitOutcome::Accepted => accepted += 1,
-                    SubmitOutcome::Shed => shed += 1,
-                    SubmitOutcome::Rejected(_) => rejected += 1,
-                }
-            }
-            tick_start = tick_end;
         }
-        ReplayStats {
-            submitted,
-            accepted,
-            shed,
-            rejected,
-            wall: start.elapsed(),
-        }
+        stats
     }
 }
 
@@ -169,6 +122,7 @@ impl ReplaySource {
 mod tests {
     use super::*;
     use lumos5g_sim::{airport, run_campaign, CampaignConfig, MobilityMode};
+    use std::collections::BTreeSet;
 
     fn small_campaign() -> Dataset {
         run_campaign(
@@ -189,7 +143,8 @@ mod tests {
         let ds = small_campaign();
         let src = ReplaySource::from_dataset(&ds, 4);
         assert_eq!(src.len(), ds.len());
-        assert_eq!(src.ues(), 4);
+        let ues: BTreeSet<u64> = src.events().iter().map(|(ue, _)| *ue).collect();
+        assert_eq!(ues.len(), 4);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() {
     let consumer =
         std::thread::spawn(move || rx.iter().filter(|p| p.predicted_mbps.is_some()).count());
 
-    source.run(&engine, 0.0); // 0.0 = replay at maximum speed
+    source.run(&engine);
 
     // Hot-swap a retrained model mid-service: new sessions pick up the new
     // version atomically, nothing is dropped or reordered.
@@ -45,7 +45,7 @@ fn main() {
         .fit_regression(&data)
         .expect("refit");
     let version = engine.registry().swap(retrained);
-    source.run(&engine, 0.0); // second pass served by v2
+    source.run(&engine); // second pass served by v2
 
     let (report, responses) = engine.shutdown();
     drop(responses);

@@ -64,7 +64,7 @@ fn run_chaos(
     let consumer = std::thread::spawn(move || rx.iter().collect::<Vec<Prediction>>());
     let (mut accepted, mut rejected) = (0u64, 0u64);
     for _ in 0..rounds {
-        let stats = src.run(&engine, 0.0);
+        let stats = src.run(&engine);
         assert_eq!(stats.shed, 0, "Block policy must never shed");
         accepted += stats.accepted;
         rejected += stats.rejected;

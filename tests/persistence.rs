@@ -42,7 +42,7 @@ type ReplayKey = (u64, u32, u32, Option<u64>, Option<Vec<u64>>);
 /// by (ue, pass, t) so runs with different shard interleavings compare.
 fn replay(registry: Arc<ModelRegistry>, src: &ReplaySource) -> Vec<ReplayKey> {
     let engine = Engine::start_with_registry(registry, engine_cfg());
-    let stats = src.run(&engine, 0.0);
+    let stats = src.run(&engine);
     assert_eq!(stats.shed, 0);
     let (report, responses) = engine.shutdown();
     assert_eq!(report.processed, stats.submitted);

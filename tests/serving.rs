@@ -38,7 +38,7 @@ fn engine_cfg() -> EngineConfig {
 
 fn run_replay(model: TrainedRegressor, src: &ReplaySource) -> Vec<Prediction> {
     let engine = Engine::start(model, engine_cfg());
-    let stats = src.run(&engine, 0.0);
+    let stats = src.run(&engine);
     assert_eq!(stats.shed, 0);
     let (report, responses) = engine.shutdown();
     assert_eq!(report.processed, stats.submitted);
@@ -122,7 +122,7 @@ fn sequence_serving_bit_matches_offline_and_any_shard_or_batch_count() {
                 ..Default::default()
             },
         );
-        let stats = src.run(&engine, 0.0);
+        let stats = src.run(&engine);
         assert_eq!(stats.shed, 0);
         let (report, responses) = engine.shutdown();
         let responses: Vec<Prediction> = responses.iter().collect();
