@@ -11,6 +11,8 @@
 //! `--save-models DIR` persists each experiment's fitted GDBT model as
 //! `DIR/{experiment_key}.l5gm`; a later run with `--load-models DIR` skips
 //! those fits and produces bit-identical outputs from the saved models.
+//! A model that cannot be saved, or a checkpoint that cannot be written,
+//! fails the run with a non-zero exit naming the path.
 //!
 //! `--checkpoint-every N` makes every GDBT / Seq2Seq fit write its full
 //! training state atomically to `--ckpt-dir` (default

@@ -160,6 +160,16 @@ impl CheckpointPlan {
         }
     }
 
+    /// Create the checkpoint directory when checkpoints will be written;
+    /// panics, naming it, when it cannot be created.
+    fn create_dir(&self) {
+        if self.every > 0 {
+            if let Err(e) = std::fs::create_dir_all(&self.dir) {
+                panic!("cannot create {}: {e}", self.dir.display());
+            }
+        }
+    }
+
     /// Count one durable checkpoint write; honours `die_after` by exiting
     /// with status 137 (the wait status a SIGKILL produces) so crash tests
     /// can interrupt training at an exact, reproducible point.
@@ -248,7 +258,7 @@ impl Context {
             };
             match persist::save_regressor(&wrapped, &path) {
                 Ok(()) => eprintln!("    saved {key} to {}", path.display()),
-                Err(e) => eprintln!("    cannot save {}: {e}", path.display()),
+                Err(e) => panic!("cannot save {}: {e}", path.display()),
             }
         }
         model
@@ -299,13 +309,11 @@ impl Context {
         } else {
             None
         };
-        if plan.every > 0 {
-            std::fs::create_dir_all(&plan.dir).ok();
-        }
+        plan.create_dir();
         GbdtRegressor::fit_resumable(xs, ys, cfg, resume, plan.every, |ck| {
             match persist::save_checkpoint(&TrainingCheckpoint::Gdbt(ck.clone()), &path) {
                 Ok(()) => plan.note_write(key, ck.rounds_done),
-                Err(e) => eprintln!("    cannot checkpoint {}: {e}", path.display()),
+                Err(e) => panic!("cannot checkpoint {}: {e}", path.display()),
             }
         })
     }
@@ -365,9 +373,7 @@ impl Context {
         } else {
             None
         };
-        if plan.every > 0 {
-            std::fs::create_dir_all(&plan.dir).ok();
-        }
+        plan.create_dir();
         model.train_resumable(
             inputs,
             targets,
@@ -380,7 +386,7 @@ impl Context {
                 &path,
             ) {
                 Ok(()) => plan.note_write(key, st.epochs_done()),
-                Err(e) => eprintln!("    cannot checkpoint {}: {e}", path.display()),
+                Err(e) => panic!("cannot checkpoint {}: {e}", path.display()),
             },
         )
     }

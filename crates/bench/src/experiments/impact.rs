@@ -95,8 +95,7 @@ fn mean_heading(data: &Dataset, traj: u32, pass: u32) -> f64 {
 /// NB with SB), matching the §4.2 grouping.
 fn spearman_pairs(data: &Dataset, same_direction: bool, max_pairs: usize) -> (f64, f64, usize) {
     let traces = data.traces();
-    let mut keys: Vec<&(u32, u32)> = traces.keys().collect();
-    keys.sort();
+    let keys: Vec<&(u32, u32)> = traces.keys().collect();
     let headings: Vec<f64> = keys
         .iter()
         .map(|&&(traj, pass)| mean_heading(data, traj, pass))

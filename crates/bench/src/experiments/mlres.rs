@@ -630,16 +630,22 @@ pub fn horizon(ctx: &mut Context) -> String {
         p.patience,
     );
 
+    let scaled: Vec<Vec<Vec<f64>>> = test
+        .inputs
+        .iter()
+        .map(|s| s.iter().map(|x| xs.transform_row(x)).collect())
+        .collect();
+    let refs: Vec<&[Vec<f64>]> = scaled.iter().map(Vec::as_slice).collect();
+    let horizons = model
+        .predict_batch(&refs)
+        .expect("build_sequences emits non-empty histories");
     let mut abs_err = vec![0.0f64; p.horizon];
-    let mut n = 0usize;
-    for (input, target) in test.inputs.iter().zip(&test.targets) {
-        let scaled: Vec<Vec<f64>> = input.iter().map(|x| xs.transform_row(x)).collect();
-        let out = model.predict(&scaled);
-        for (k, (&t, &o)) in target.iter().zip(&out).enumerate() {
+    for (target, out) in test.targets.iter().zip(&horizons) {
+        for (k, (&t, &o)) in target.iter().zip(out).enumerate() {
             abs_err[k] += (t - ys.inverse(o)).abs();
         }
-        n += 1;
     }
+    let n = horizons.len();
     let mut t = TableWriter::new(
         "Seq2Seq multi-step horizon: MAE per future step (Airport, L+M)",
         &["step (s ahead)", "MAE (Mbps)"],

@@ -395,36 +395,23 @@ impl TrainedRegressor {
                     .collect();
                 (td.ys.clone(), pred)
             }
-            TrainedRegressor::Seq2Seq {
-                model,
-                x_scaler,
-                y_scaler,
-                params,
-                spec,
-            } => {
+            TrainedRegressor::Seq2Seq { params, spec, .. } => {
                 let sd =
                     build_sequences(data, spec, params.input_len, params.horizon, params.stride);
-                let mut truth = Vec::with_capacity(sd.len());
-                let mut pred = Vec::with_capacity(sd.len());
-                for (input, target) in sd.inputs.iter().zip(&sd.targets) {
-                    let scaled: Vec<Vec<f64>> =
-                        input.iter().map(|x| x_scaler.transform_row(x)).collect();
-                    let out = model.predict(&scaled);
-                    // Next-slot evaluation: first horizon step.
-                    truth.push(target[0]);
-                    pred.push(y_scaler.inverse(out[0]));
-                }
-                (truth, pred)
+                let histories: Vec<&[Vec<f64>]> = sd.inputs.iter().map(Vec::as_slice).collect();
+                let horizons = self
+                    .predict_sequence_batch(&histories)
+                    .expect("build_sequences emits non-empty histories");
+                // Next-slot evaluation: first horizon step.
+                (
+                    sd.targets.iter().map(|t| t[0]).collect(),
+                    horizons.iter().map(|h| h[0]).collect(),
+                )
             }
             TrainedRegressor::Harmonic { window } => {
                 let mut truth = Vec::new();
                 let mut pred = Vec::new();
-                // `traces()` hands back a HashMap; iterate in sorted key
-                // order so two evals of the same dataset emit bit-identical
-                // output sequences (the repo-wide reproducibility invariant).
-                let mut traces: Vec<_> = data.traces().into_iter().collect();
-                traces.sort_unstable_by_key(|&(k, _)| k);
-                for (_, trace) in traces {
+                for trace in data.traces().into_values() {
                     for (t, p) in HarmonicMeanPredictor::eval_trace(&trace, *window) {
                         truth.push(t);
                         pred.push(p);
@@ -451,15 +438,16 @@ impl TrainedRegressor {
     /// Multi-step prediction over several feature-vector histories at once
     /// — the serving engine's batched-decoder dispatch. For Seq2Seq, each
     /// history is scaled with the training-time feature scaler, decoded
-    /// for the full `horizon` and inverse-scaled. Lane `i` is bit-identical
-    /// to decoding `histories[i]` alone (the Seq2Seq matmuls are
-    /// row-blocked, which reorders memory traffic but never per-lane
-    /// floating-point operations), so online horizons match offline ones
-    /// for any batch size. Tabular families (GDBT / KNN / RF) return a
-    /// one-step vector from each history's last row. Returns `None` for
-    /// any empty history (a warm-up session) or a family with no sequence
-    /// form (Kriging, HarmonicMean), so a short history or a hot-swapped
-    /// family can never unwind a shard worker.
+    /// for the full `horizon` and inverse-scaled. Lanes decode one after
+    /// another through the LSTM step kernel (see
+    /// [`lumos5g_ml::Seq2Seq::predict_batch`]), so lane `i` is
+    /// bit-identical to decoding `histories[i]` alone and online horizons
+    /// match offline ones for any batch size; batching amortises the
+    /// caller's per-dispatch work. Tabular families (GDBT / KNN / RF)
+    /// return a one-step vector from each history's last row. Returns
+    /// `None` for any empty history (a warm-up session) or a family with no
+    /// sequence form (Kriging, HarmonicMean), so a short history or a
+    /// hot-swapped family can never unwind a shard worker.
     pub fn predict_sequence_batch(&self, histories: &[&[Vec<f64>]]) -> Option<Vec<Vec<f64>>> {
         let TrainedRegressor::Seq2Seq {
             model,

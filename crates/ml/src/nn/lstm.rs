@@ -42,60 +42,9 @@ impl LstmLayer {
         }
     }
 
-    /// Forward one step for a block of independent lanes sharing this
-    /// layer's weights: `xs[b]` / `h_prev[b]` / `c_prev[b]` are lane `b`'s
-    /// input, hidden and cell state. Returns `(h, c)` per lane; no backward
-    /// caches are produced (inference only).
-    ///
-    /// Every lane's result is bit-identical to running that lane alone:
-    /// the fused-gate matmul is blocked over weight rows (see
-    /// [`super::batched_matvec_bias`]) so batching changes only memory
-    /// traffic, never the per-lane floating-point order.
-    pub fn forward_batch(
-        &self,
-        xs: &[&[f64]],
-        h_prev: &[&[f64]],
-        c_prev: &[&[f64]],
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let hdim = self.hidden;
-        assert_eq!(h_prev.len(), xs.len(), "lane count mismatch");
-        assert_eq!(c_prev.len(), xs.len(), "lane count mismatch");
-        let cols = self.input_dim + hdim;
-        let xh: Vec<Vec<f64>> = xs
-            .iter()
-            .zip(h_prev)
-            .map(|(x, h)| {
-                assert_eq!(x.len(), self.input_dim, "input dim mismatch");
-                assert_eq!(h.len(), hdim, "hidden dim mismatch");
-                let mut v = Vec::with_capacity(cols);
-                v.extend_from_slice(x);
-                v.extend_from_slice(h);
-                v
-            })
-            .collect();
-        let xh_refs: Vec<&[f64]> = xh.iter().map(|v| v.as_slice()).collect();
-        let z = super::batched_matvec_bias(&self.w.w, 4 * hdim, cols, &self.b.w, &xh_refs);
-        let mut hs = Vec::with_capacity(xs.len());
-        let mut cs = Vec::with_capacity(xs.len());
-        for (lane, z) in z.iter().enumerate() {
-            let mut h = vec![0.0; hdim];
-            let mut c = vec![0.0; hdim];
-            for j in 0..hdim {
-                let i = sigmoid(z[j]);
-                let f = sigmoid(z[hdim + j]);
-                let g = z[2 * hdim + j].tanh();
-                let o = sigmoid(z[3 * hdim + j]);
-                c[j] = f * c_prev[lane][j] + i * g;
-                h[j] = o * c[j].tanh();
-            }
-            hs.push(h);
-            cs.push(c);
-        }
-        (hs, cs)
-    }
-
-    /// Training forward of one step into caller-owned buffers: `xh` holds
-    /// `[x; h_prev]` and `c_prev` the previous cell state. Writes the gate
+    /// Forward of one step into caller-owned buffers, the one kernel both
+    /// training and decoding run: `xh` holds `[x; h_prev]` and `c_prev`
+    /// the previous cell state. Writes the gate
     /// activations `i|f|g|o` (4H) to `acts`, the new cell state to `c`,
     /// `tanh(c)` to `tanh_c` and the new hidden state to `h`; `acts`,
     /// `c_prev` and `tanh_c` are what [`Self::step_backward`] reads.
@@ -348,31 +297,6 @@ mod tests {
             assert_eq!(l.b.w[j], 1.0);
         }
         assert_eq!(l.b.w[0], 0.0);
-    }
-
-    #[test]
-    fn forward_batch_bit_matches_forward_per_lane() {
-        let l = layer(3, 5, 11);
-        let lanes: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = (0..4)
-            .map(|b| {
-                let s = b as f64;
-                (
-                    vec![0.1 * s, -0.3, 0.7 - s],
-                    vec![0.05 * s, -0.1, 0.2, 0.0, 0.4],
-                    vec![0.3, -0.2 * s, 0.1, 0.6, -0.5],
-                )
-            })
-            .collect();
-        let xs: Vec<&[f64]> = lanes.iter().map(|(x, _, _)| x.as_slice()).collect();
-        let hp: Vec<&[f64]> = lanes.iter().map(|(_, h, _)| h.as_slice()).collect();
-        let cp: Vec<&[f64]> = lanes.iter().map(|(_, _, c)| c.as_slice()).collect();
-        let (hb, cb) = l.forward_batch(&xs, &hp, &cp);
-        for (b, (x, h0, c0)) in lanes.iter().enumerate() {
-            let (h1, c1, _) = l.forward(x, h0, c0);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&hb[b]), bits(&h1), "lane {b} hidden state diverged");
-            assert_eq!(bits(&cb[b]), bits(&c1), "lane {b} cell state diverged");
-        }
     }
 
     /// One training step through the production kernels: returns `h` and

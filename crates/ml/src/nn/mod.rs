@@ -63,77 +63,6 @@ impl Param {
     }
 }
 
-/// Lane-interleaved batched bias + matrix–vector product:
-/// `out[b] = bias + W · xs[b]` for a block of input vectors sharing one
-/// row-major `rows × cols` weight matrix.
-///
-/// This is the serving-side building block for batched Seq2Seq decoding,
-/// and it attacks the scalar path's actual bottleneck: one dot product is
-/// a single serial `fadd` dependency chain, so an unbatched matvec runs at
-/// FP-add *latency*, not throughput. Here up to `LANE_TILE` lanes advance
-/// through each weight row in lockstep — independent accumulator chains
-/// the CPU overlaps — and each weight element is loaded once per lane tile
-/// instead of once per lane. Every lane still accumulates its dot product
-/// from −0.0 (`Iterator::sum`'s neutral element), left-to-right, with the
-/// bias added last, exactly like the scalar `b + row.zip(x).map(*).sum()` —
-/// so every result is bit-identical to the unbatched computation, for any
-/// batch size.
-pub fn batched_matvec_bias(
-    w: &[f64],
-    rows: usize,
-    cols: usize,
-    bias: &[f64],
-    xs: &[&[f64]],
-) -> Vec<Vec<f64>> {
-    assert_eq!(w.len(), rows * cols, "weight shape mismatch");
-    assert_eq!(bias.len(), rows, "bias shape mismatch");
-    // 8 independent f64 chains cover fadd latency×throughput on current
-    // cores; more just spills accumulators.
-    const LANE_TILE: usize = 8;
-    let mut out: Vec<Vec<f64>> = xs
-        .iter()
-        .map(|x| {
-            assert_eq!(x.len(), cols, "input dim mismatch");
-            vec![0.0; rows]
-        })
-        .collect();
-    // Column-major staging buffer for one lane tile: `xt[j*LANE_TILE + l]`
-    // holds lane `l`'s element `j`, so the lockstep loop below reads one
-    // contiguous 8-wide chunk per weight element (vectorizable broadcast-FMA)
-    // instead of gathering from 8 separate slices.
-    let mut xt = vec![0.0; cols * LANE_TILE];
-    let mut l0 = 0;
-    while l0 + LANE_TILE <= xs.len() {
-        for (l, x) in xs[l0..l0 + LANE_TILE].iter().enumerate() {
-            for (j, &v) in x.iter().enumerate() {
-                xt[j * LANE_TILE + l] = v;
-            }
-        }
-        for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
-            let mut acc = [-0.0f64; LANE_TILE];
-            for (&wj, col) in row.iter().zip(xt.chunks_exact(LANE_TILE)) {
-                for (a, &v) in acc.iter_mut().zip(col) {
-                    *a += wj * v;
-                }
-            }
-            for (lane, a) in acc.into_iter().enumerate() {
-                out[l0 + lane][r] = bias[r] + a;
-            }
-        }
-        l0 += LANE_TILE;
-    }
-    // Remainder lanes (< LANE_TILE): the plain scalar matvec — the very
-    // accumulation the lockstep path reproduces.
-    for (lane, x) in xs.iter().enumerate().skip(l0) {
-        for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
-            out[lane][r] = bias[r] + row.iter().zip(x.iter()).map(|(a, b)| a * b).sum::<f64>();
-        }
-    }
-    out
-}
-
 /// Bias + matrix–vector product into `out`: `out[r] = bias[r] + W[r]·x`
 /// for the row-major matrix `w` of `out.len()` rows and `x.len()` columns.
 /// The row count must be a multiple of four, as an LSTM's `4·hidden` gate
@@ -246,26 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matvec_bit_matches_scalar_matvec() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (rows, cols) = (37, 11); // not multiples of the row tile
-        let w = Param::xavier(rows * cols, cols, rows, &mut rng);
-        let bias = Param::xavier(rows, rows, 1, &mut rng);
-        let lanes: Vec<Vec<f64>> = (0..5)
-            .map(|_| (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let refs: Vec<&[f64]> = lanes.iter().map(|v| v.as_slice()).collect();
-        let batched = batched_matvec_bias(&w.w, rows, cols, &bias.w, &refs);
-        for (lane, x) in lanes.iter().enumerate() {
-            for (r, got) in batched[lane].iter().enumerate() {
-                let row = &w.w[r * cols..(r + 1) * cols];
-                let scalar = bias.w[r] + row.iter().zip(x.iter()).map(|(a, b)| a * b).sum::<f64>();
-                assert_eq!(got.to_bits(), scalar.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn matvecs_start_from_the_neutral_element_of_sum() {
         // A row of negative weights against a zero input sums to −0.0 under
         // `Iterator::sum`; with a −0.0 bias only a −0.0 start reproduces it.
@@ -282,10 +191,6 @@ mod tests {
         let mut out = vec![1.0; rows];
         matvec_bias_into(&w, &bias, &x, &mut out);
         assert_eq!(out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), scalar);
-        let lanes: Vec<&[f64]> = vec![&x; 9];
-        for lane in batched_matvec_bias(&w, rows, cols, &bias, &lanes) {
-            assert_eq!(lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), scalar);
-        }
     }
 
     #[test]

@@ -133,96 +133,66 @@ impl Seq2Seq {
     }
 
     /// Predict `horizon` future (standardized) values for one input
-    /// sequence of feature vectors, or `None` when the sequence is empty
-    /// (a warm-up session has nothing to encode). The serving engine uses
-    /// this surface so a short history can never unwind a shard worker.
-    pub fn predict_checked(&self, xs: &[Vec<f64>]) -> Option<Vec<f64>> {
-        self.predict_batch(&[xs])?.pop()
-    }
-
-    /// Predict `horizon` future (standardized) values for one input
-    /// sequence of feature vectors.
+    /// sequence of feature vectors: a one-lane [`Self::predict_batch`].
     ///
-    /// Panics on an empty input sequence; use [`Self::predict_checked`]
-    /// where the history length is not statically guaranteed.
+    /// Panics on an empty input sequence; callers whose history length is
+    /// not statically guaranteed use [`Self::predict_batch`], which
+    /// returns `None` instead.
     pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        self.predict_checked(xs)
+        self.predict_batch(&[xs])
+            .and_then(|mut lanes| lanes.pop())
             .expect("cannot predict from an empty sequence")
     }
 
-    /// Batched inference: decode `horizon` (standardized) values for a
-    /// block of input sequences at once, or `None` if any lane is empty.
-    /// Lanes may have different lengths.
+    /// Decode `horizon` (standardized) values for each of a block of input
+    /// sequences, or `None` if any lane is empty. Lanes may have different
+    /// lengths; a row whose width is not `input_dim` panics.
     ///
-    /// Lane `i` of the result is bit-identical to `predict(&seqs[i])`:
-    /// the fused-gate matmuls are blocked over weight rows (see
-    /// [`super::batched_matvec_bias`]) so each weight row is applied to
-    /// every lane while hot in cache — batching reorders memory traffic,
-    /// never the per-lane floating-point operations. This is what lets the
-    /// serving engine drain B sessions per dispatch without perturbing the
-    /// bit-exactness contract.
+    /// Lanes decode one after another through the LSTM step kernel that
+    /// training runs (`LstmLayer::step_forward`), over flat state and step
+    /// buffers allocated once per call, so lane `i` is bit-identical to
+    /// `predict(&seqs[i])` and to the per-sample reference forward for any
+    /// batch size.
     pub fn predict_batch(&self, seqs: &[&[Vec<f64>]]) -> Option<Vec<Vec<f64>>> {
         if seqs.iter().any(|s| s.is_empty()) {
             return None;
         }
-        let lanes = seqs.len();
-        if lanes == 0 {
-            return Some(Vec::new());
-        }
-        let hdim = self.cfg.hidden;
-        let layers = self.cfg.layers;
-        // Per-layer, per-lane recurrent state; encoder finals seed the
-        // decoder exactly as in the single-sequence path.
-        let mut h: Vec<Vec<Vec<f64>>> = vec![vec![vec![0.0; hdim]; lanes]; layers];
-        let mut c: Vec<Vec<Vec<f64>>> = vec![vec![vec![0.0; hdim]; lanes]; layers];
-
-        let max_len = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
-        for t in 0..max_len {
-            let active: Vec<usize> = (0..lanes).filter(|&b| t < seqs[b].len()).collect();
-            let mut input: Vec<Vec<f64>> = active.iter().map(|&b| seqs[b][t].clone()).collect();
-            for (l, layer) in self.enc.iter().enumerate() {
-                let xs: Vec<&[f64]> = input.iter().map(|v| v.as_slice()).collect();
-                let hp: Vec<&[f64]> = active.iter().map(|&b| h[l][b].as_slice()).collect();
-                let cp: Vec<&[f64]> = active.iter().map(|&b| c[l][b].as_slice()).collect();
-                let (hn, cn) = layer.forward_batch(&xs, &hp, &cp);
-                for (&b, cnb) in active.iter().zip(cn) {
-                    c[l][b] = cnb;
+        let hd = self.cfg.hidden;
+        let mut state = DecodeState {
+            h: vec![0.0; self.cfg.layers * hd],
+            c: vec![0.0; self.cfg.layers * hd],
+            xh: vec![0.0; self.cfg.input_dim.max(hd) + hd],
+            acts: vec![0.0; 4 * hd],
+            c_new: vec![0.0; hd],
+            tanh_c: vec![0.0; hd],
+        };
+        let top = (self.cfg.layers - 1) * hd;
+        let lanes = seqs
+            .iter()
+            .map(|xs| {
+                state.h.fill(0.0);
+                state.c.fill(0.0);
+                for x in xs.iter() {
+                    state.step(&self.enc, x);
                 }
-                for (&b, hnb) in active.iter().zip(&hn) {
-                    h[l][b] = hnb.clone();
-                }
-                input = hn;
-            }
-        }
-
-        let mut outputs: Vec<Vec<f64>> = vec![Vec::with_capacity(self.cfg.horizon); lanes];
-        let mut prev: Vec<f64> = vec![0.0; lanes]; // start token per lane
-        for _ in 0..self.cfg.horizon {
-            let mut input: Vec<Vec<f64>> = prev.iter().map(|&p| vec![p]).collect();
-            for (l, layer) in self.dec.iter().enumerate() {
-                let xs: Vec<&[f64]> = input.iter().map(|v| v.as_slice()).collect();
-                let hp: Vec<&[f64]> = h[l].iter().map(|v| v.as_slice()).collect();
-                let cp: Vec<&[f64]> = c[l].iter().map(|v| v.as_slice()).collect();
-                let (hn, cn) = layer.forward_batch(&xs, &hp, &cp);
-                c[l] = cn;
-                h[l] = hn.clone();
-                input = hn;
-            }
-            for (b, (out, prev)) in outputs.iter_mut().zip(prev.iter_mut()).enumerate() {
-                let h_top = &h[layers - 1][b];
-                let y: f64 = self.b_out.w[0]
-                    + self
-                        .w_out
-                        .w
-                        .iter()
-                        .zip(h_top)
-                        .map(|(w, h)| w * h)
-                        .sum::<f64>();
-                out.push(y);
-                *prev = y;
-            }
-        }
-        Some(outputs)
+                let mut prev = 0.0f64; // decoder start token
+                (0..self.cfg.horizon)
+                    .map(|_| {
+                        state.step(&self.dec, &[prev]);
+                        prev = self.b_out.w[0]
+                            + self
+                                .w_out
+                                .w
+                                .iter()
+                                .zip(&state.h[top..])
+                                .map(|(w, h)| w * h)
+                                .sum::<f64>();
+                        prev
+                    })
+                    .collect()
+            })
+            .collect();
+        Some(lanes)
     }
 
     /// Serialize the configuration and all weights (raw IEEE-754 bits, so
@@ -569,6 +539,39 @@ impl Seq2Seq {
     }
 }
 
+/// The recurrent state and step buffers of the lane being decoded;
+/// [`Seq2Seq::predict_batch`] resets the state between lanes.
+struct DecodeState {
+    /// Hidden state of every layer, `hidden` apart.
+    h: Vec<f64>,
+    /// Cell state of every layer, `hidden` apart.
+    c: Vec<f64>,
+    /// `[x; h_prev]` of the current layer; room for the widest input.
+    xh: Vec<f64>,
+    /// Gate activations, new cell state and `tanh(c)` of the current layer.
+    acts: Vec<f64>,
+    c_new: Vec<f64>,
+    tanh_c: Vec<f64>,
+}
+
+impl DecodeState {
+    /// Advance the stacked `layers` one step on input `x`: each layer reads
+    /// the new hidden state of the one below and its own previous state.
+    fn step(&mut self, layers: &[LstmLayer], x: &[f64]) {
+        for (l, cell) in layers.iter().enumerate() {
+            let (hd, in_dim) = (cell.hidden, cell.input_dim);
+            let (below, h) = self.h.split_at_mut(l * hd);
+            let h = &mut h[..hd];
+            let c = &mut self.c[l * hd..][..hd];
+            let xh = &mut self.xh[..in_dim + hd];
+            xh[..in_dim].copy_from_slice(if l == 0 { x } else { &below[(l - 1) * hd..] });
+            xh[in_dim..].copy_from_slice(h);
+            cell.step_forward(xh, c, &mut self.acts, &mut self.c_new, &mut self.tanh_c, h);
+            c.copy_from_slice(&self.c_new);
+        }
+    }
+}
+
 /// Deterministic interleaved train/validation split: every `k`-th sample
 /// (k ≈ 1 / `val_fraction`, at least 2) goes to validation. Returns all
 /// samples as training data when early stopping is disabled or the set is
@@ -617,9 +620,6 @@ trait BatchEngine {
 /// in parallel, then their gradients are added in order before the next
 /// block reuses the buffers. Bounds the buffers at any batch size.
 const LANE_BLOCK: usize = 16;
-
-/// Held-out histories per batched validation decode.
-const VAL_BLOCK: usize = 64;
 
 /// Lane-parallel minibatch training, bit-identical to running BPTT one
 /// sample at a time.
@@ -852,27 +852,22 @@ impl BatchEngine for Lanes<'_> {
         loss
     }
 
-    /// Scores the held-out samples through [`Seq2Seq::predict_batch`] in
-    /// blocks (bit-identical to one `predict` each) and sums the per-sample
-    /// MSEs in `val_idx` order.
+    /// Scores the held-out samples with one [`Seq2Seq::predict_batch`]
+    /// call and sums the per-sample MSEs in `val_idx` order.
     fn validation_loss(&mut self, model: &Seq2Seq, val_idx: &[usize]) -> f64 {
         let horizon = model.cfg.horizon as f64;
-        let mut seqs = Vec::with_capacity(VAL_BLOCK);
+        let seqs: Vec<&[Vec<f64>]> = val_idx.iter().map(|&i| self.inputs[i].as_slice()).collect();
+        let preds = model
+            .predict_batch(&seqs)
+            .expect("cannot predict from an empty sequence");
         let mut loss = 0.0;
-        for ids in val_idx.chunks(VAL_BLOCK) {
-            seqs.clear();
-            seqs.extend(ids.iter().map(|&i| self.inputs[i].as_slice()));
-            let preds = model
-                .predict_batch(&seqs)
-                .expect("cannot predict from an empty sequence");
-            for (pred, &i) in preds.iter().zip(ids) {
-                loss += pred
-                    .iter()
-                    .zip(&self.targets[i])
-                    .map(|(p, y)| (p - y) * (p - y))
-                    .sum::<f64>()
-                    / horizon;
-            }
+        for (pred, &i) in preds.iter().zip(val_idx) {
+            loss += pred
+                .iter()
+                .zip(&self.targets[i])
+                .map(|(p, y)| (p - y) * (p - y))
+                .sum::<f64>()
+                / horizon;
         }
         loss / val_idx.len() as f64
     }
@@ -1559,52 +1554,55 @@ mod tests {
     }
 
     #[test]
-    fn predict_checked_handles_empty_history() {
-        let m = Seq2Seq::new(tiny_cfg());
-        assert_eq!(m.predict_checked(&[]), None);
-        let xs = vec![vec![0.1, 0.2]];
-        assert_eq!(m.predict_checked(&xs), Some(m.predict(&xs)));
-    }
-
-    #[test]
     fn predict_batch_bit_matches_single_lane_predict() {
-        let m = Seq2Seq::new(tiny_cfg());
-        // Lanes of different lengths, including one long enough to exercise
-        // several encoder steps.
-        let seqs: Vec<Vec<Vec<f64>>> = (0..9)
+        let mut signed = Seq2Seq::new(tiny_cfg());
+        signed.enc[0].b.w[0] = -0.0;
+        signed.b_out.w[0] = -0.0;
+        // Lanes of lengths 1–6, with signed zeros among the inputs.
+        let seqs: Vec<Vec<Vec<f64>>> = (0..20)
             .map(|b| {
-                (0..=(b % 4))
-                    .map(|t| {
-                        let s = (b * 7 + t) as f64;
-                        vec![(s * 0.31).sin(), (s * 0.17).cos()]
+                (0..=(b % 6))
+                    .map(|t| match (b + t) % 5 {
+                        0 => vec![-0.0, 0.0],
+                        1 => vec![0.0, -0.0],
+                        _ => {
+                            let s = (b * 7 + t) as f64;
+                            vec![(s * 0.31).sin(), (s * 0.17).cos()]
+                        }
                     })
                     .collect()
             })
             .collect();
         let refs: Vec<&[Vec<f64>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        for width in [1usize, 2, 3, 8, 9] {
-            for chunk in refs.chunks(width) {
-                let batched = m.predict_batch(chunk).unwrap();
-                for (lane, seq) in chunk.iter().enumerate() {
-                    let single = m.predict(seq);
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&batched[lane]),
-                        bits(&single),
-                        "lane {lane} of width-{width} batch diverged"
-                    );
-                    assert_eq!(
-                        bits(&single),
-                        bits(&m.predict_reference(seq)),
-                        "lane {lane}: one-lane predict diverged from the reference"
-                    );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in [Seq2Seq::new(tiny_cfg()), signed] {
+            for width in [1usize, 2, 3, 8, 9, 17] {
+                for chunk in refs.chunks(width) {
+                    let batched = m.predict_batch(chunk).unwrap();
+                    assert_eq!(batched.len(), chunk.len());
+                    for (lane, seq) in chunk.iter().enumerate() {
+                        assert_eq!(
+                            bits(&batched[lane]),
+                            bits(&m.predict_reference(seq)),
+                            "lane {lane} of a width-{width} batch diverged from the reference"
+                        );
+                    }
                 }
             }
         }
         // Any empty lane poisons the whole batch into a typed None.
+        let m = Seq2Seq::new(tiny_cfg());
         let with_empty: Vec<&[Vec<f64>]> = vec![&seqs[0], &[]];
         assert_eq!(m.predict_batch(&with_empty), None);
         assert_eq!(m.predict_batch(&[]), Some(Vec::new()));
+    }
+
+    #[test]
+    #[should_panic]
+    fn predict_batch_rejects_a_row_of_the_wrong_width() {
+        let m = Seq2Seq::new(tiny_cfg());
+        let short: &[Vec<f64>] = &[vec![0.1, 0.2], vec![0.3]];
+        m.predict_batch(&[short]);
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub struct EngineConfig {
     /// When the served model is a Seq2Seq: how many already-queued records
     /// a shard may answer with one batched decoder call (capped at one
     /// record per UE per batch). Responses are bit-identical for any value;
-    /// larger batches amortize weight-matrix traffic. Ignored for
-    /// single-row families.
+    /// larger batches amortize the per-dispatch work (model fetch, panic
+    /// guard, emit). Ignored for single-row families.
     pub decode_batch: usize,
 }
 

@@ -170,7 +170,7 @@ type Answer = (f64, Option<Vec<f64>>);
 /// updates its UE's session and extracts features through
 /// [`FeatureSpec::extract_latest`]; one model call answers every ready
 /// lane ([`predict_ready`]). These are the exact offline code paths, and
-/// the batched kernels underneath are bit-exact per lane, so every
+/// a batched decode runs each lane exactly as it would run alone, so every
 /// response — and the online MAE — is identical to offline prediction for
 /// any `decode_batch`, including 1.
 ///

@@ -1,7 +1,7 @@
 //! Per-second log records (Table 1 of the paper) and dataset containers.
 
 use lumos5g_geo::{GridCell, GridIndex, Point2};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -232,10 +232,10 @@ impl Dataset {
         m
     }
 
-    /// Per-pass throughput traces, keyed by `(trajectory, pass_id)`,
-    /// ordered by time.
-    pub fn traces(&self) -> HashMap<(u32, u32), Vec<f64>> {
-        let mut m: HashMap<(u32, u32), Vec<(u32, f64)>> = HashMap::new();
+    /// Per-pass throughput traces, keyed by `(trajectory, pass_id)` in
+    /// ascending key order, each ordered by time.
+    pub fn traces(&self) -> BTreeMap<(u32, u32), Vec<f64>> {
+        let mut m: BTreeMap<(u32, u32), Vec<(u32, f64)>> = BTreeMap::new();
         for r in &self.records {
             m.entry((r.trajectory, r.pass_id))
                 .or_default()
