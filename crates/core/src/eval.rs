@@ -246,10 +246,9 @@ pub fn summarize(
     }
 }
 
-/// Run both tasks with minimal re-training: model families whose
-/// classification is post-processed regression (Seq2Seq, Kriging, Harmonic
-/// Mean) train **once** and derive both metrics from the same predictions;
-/// native classifiers (GDBT, KNN, RF) run both paths.
+/// Run both tasks. Seq2Seq trains **once** and derives both metrics from
+/// the same predictions; every other family runs both paths (Kriging and
+/// Harmonic Mean classify by bucketing their regression output there).
 pub fn eval_both(
     data: &Dataset,
     set: FeatureSet,
@@ -269,11 +268,6 @@ pub fn eval_both(
                 .map(|&y| ThroughputClass::of(y).index())
                 .collect();
             Ok((reg_metrics(&truth, &pred), clf_metrics(&t, &q)))
-        }
-        ModelKind::HarmonicMean { .. } | ModelKind::Kriging { .. } => {
-            let reg = regression_eval(data, set, model, split_seed)?;
-            let clf = classification_eval(data, set, model, split_seed)?;
-            Ok((reg, clf))
         }
         _ => {
             let reg = regression_eval(data, set, model, split_seed)?;

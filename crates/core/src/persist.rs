@@ -365,6 +365,18 @@ pub fn decode_regressor(bytes: &[u8]) -> Result<TrainedRegressor, PersistError> 
     Ok(model)
 }
 
+/// A tree model must be exactly as wide as the rows its feature spec
+/// extracts: a wider one would index past them when served.
+fn check_width(n_features: usize, spec: &FeatureSpec) -> Result<(), PersistError> {
+    if n_features == spec.dim() {
+        return Ok(());
+    }
+    Err(PersistError::Codec(CodecError::Invalid(format!(
+        "model over {n_features} features under a {}-feature spec",
+        spec.dim()
+    ))))
+}
+
 fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, PersistError> {
     let kind = get_header(r)?;
     if kind != KIND_REGRESSOR {
@@ -381,14 +393,18 @@ fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, Per
         )))
     };
     Ok(match family {
-        FAM_GDBT => TrainedRegressor::Gdbt {
-            model: GbdtRegressor::decode(r)?,
-            spec: need_spec(spec)?,
-        },
-        FAM_RF => TrainedRegressor::RandomForest {
-            model: RandomForestRegressor::decode(r)?,
-            spec: need_spec(spec)?,
-        },
+        FAM_GDBT => {
+            let model = GbdtRegressor::decode(r)?;
+            let spec = need_spec(spec)?;
+            check_width(model.n_features(), &spec)?;
+            TrainedRegressor::Gdbt { model, spec }
+        }
+        FAM_RF => {
+            let model = RandomForestRegressor::decode(r)?;
+            let spec = need_spec(spec)?;
+            check_width(model.n_features(), &spec)?;
+            TrainedRegressor::RandomForest { model, spec }
+        }
         FAM_KNN => TrainedRegressor::Knn {
             model: KnnRegressor::decode(r)?,
             spec: need_spec(spec)?,
@@ -501,14 +517,18 @@ pub fn decode_classifier(bytes: &[u8]) -> Result<TrainedClassifier, PersistError
         )))
     };
     let model = match family {
-        FAM_GDBT => TrainedClassifier::GdbtNative {
-            model: GbdtClassifier::decode(&mut r)?,
-            spec: need_spec(spec)?,
-        },
-        FAM_RF => TrainedClassifier::RfNative {
-            model: RandomForestClassifier::decode(&mut r)?,
-            spec: need_spec(spec)?,
-        },
+        FAM_GDBT => {
+            let model = GbdtClassifier::decode(&mut r)?;
+            let spec = need_spec(spec)?;
+            check_width(model.n_features(), &spec)?;
+            TrainedClassifier::GdbtNative { model, spec }
+        }
+        FAM_RF => {
+            let model = RandomForestClassifier::decode(&mut r)?;
+            let spec = need_spec(spec)?;
+            check_width(model.n_features(), &spec)?;
+            TrainedClassifier::RfNative { model, spec }
+        }
         FAM_KNN => TrainedClassifier::KnnNative {
             model: KnnClassifier::decode(&mut r)?,
             spec: need_spec(spec)?,
@@ -802,6 +822,48 @@ mod tests {
         // so stride the cut points).
         for cut in (0..bytes.len()).step_by(257).chain([bytes.len() - 1]) {
             assert!(decode_regressor(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn tree_models_wider_than_their_feature_spec_are_rejected() {
+        // Fitted on L+M+C rows, then filed under the narrower L spec: served
+        // L rows would be indexed past their end.
+        let data = campaign(11);
+        let narrow = FeatureSpec::new(FeatureSet::L);
+        let rf = ModelKind::RandomForest(ForestConfig {
+            n_trees: 3,
+            ..Default::default()
+        });
+        for kind in [ModelKind::Gdbt(quick_gbdt()), rf] {
+            let fit = Lumos5G::new(FeatureSet::LMC, kind);
+            let reg = match fit.fit_regression(&data).unwrap() {
+                TrainedRegressor::Gdbt { model, .. } => TrainedRegressor::Gdbt {
+                    model,
+                    spec: narrow,
+                },
+                TrainedRegressor::RandomForest { model, .. } => TrainedRegressor::RandomForest {
+                    model,
+                    spec: narrow,
+                },
+                other => panic!("unexpected family {other:?}"),
+            };
+            let got = decode_regressor(&encode_regressor(&reg).unwrap());
+            assert!(got.is_err(), "regressor decoded: {got:?}");
+
+            let clf = match fit.fit_classification(&data).unwrap() {
+                TrainedClassifier::GdbtNative { model, .. } => TrainedClassifier::GdbtNative {
+                    model,
+                    spec: narrow,
+                },
+                TrainedClassifier::RfNative { model, .. } => TrainedClassifier::RfNative {
+                    model,
+                    spec: narrow,
+                },
+                other => panic!("unexpected family {other:?}"),
+            };
+            let got = decode_classifier(&encode_classifier(&clf).unwrap());
+            assert!(got.is_err(), "classifier decoded: {got:?}");
         }
     }
 

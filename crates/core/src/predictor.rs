@@ -113,6 +113,22 @@ pub enum ModelKind {
     },
 }
 
+impl ModelKind {
+    /// Reject hyperparameters no model can be trained from, before any data
+    /// is touched.
+    fn validate(&self) -> Result<(), String> {
+        match self {
+            ModelKind::Seq2Seq(p) => p.validate(),
+            // A forest without trees predicts 0/0 = NaN (or always the last
+            // class), and its saved file fails to load.
+            ModelKind::RandomForest(cfg) if cfg.n_trees == 0 => {
+                Err("Random Forest n_trees must be positive".into())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A fast GDBT config for examples/tests (the paper-scale config is
 /// `GbdtConfig::paper_scale()`).
 pub fn quick_gbdt() -> GbdtConfig {
@@ -166,9 +182,7 @@ impl Lumos5G {
     /// Non-finite feature values are rejected up front with an `Err` — a
     /// single corrupt logger sample must not panic mid-fit.
     pub fn fit_regression(&self, data: &Dataset) -> Result<TrainedRegressor, String> {
-        if let ModelKind::Seq2Seq(p) = &self.model {
-            p.validate()?;
-        }
+        self.model.validate()?;
         data.check_finite()
             .map_err(|e| format!("non-finite training data: {e}"))?;
         match &self.model {
@@ -273,6 +287,7 @@ impl Lumos5G {
     /// classify by bucketing their regression output, exactly like the
     /// paper's post-processing step (§6.1).
     pub fn fit_classification(&self, data: &Dataset) -> Result<TrainedClassifier, String> {
+        self.model.validate()?;
         data.check_finite()
             .map_err(|e| format!("non-finite training data: {e}"))?;
         match &self.model {
@@ -746,6 +761,22 @@ mod tests {
                 Err(_) => panic!("{name} = 0 panicked"),
             }
         }
+    }
+
+    #[test]
+    fn zero_tree_forests_are_rejected_not_fitted() {
+        let data = small_data();
+        let fit = Lumos5G::new(
+            FeatureSet::L,
+            ModelKind::RandomForest(ForestConfig {
+                n_trees: 0,
+                ..Default::default()
+            }),
+        );
+        let e = fit.fit_regression(&data).unwrap_err();
+        assert!(e.contains("n_trees"), "unexpected error {e}");
+        let e = fit.fit_classification(&data).unwrap_err();
+        assert!(e.contains("n_trees"), "unexpected error {e}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! compute: fewer, slightly stronger steps).
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::tree::{RankedColumns, RegressionTree, TreeConfig};
+use crate::tree::{check_width, RankedColumns, RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -372,6 +372,11 @@ impl GbdtRegressor {
         self.trees.len()
     }
 
+    /// Number of features the model was fitted on.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Serialize: base, learning rate, then each tree as a flat node array.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_f64(self.base);
@@ -391,7 +396,9 @@ impl GbdtRegressor {
         let n_trees = r.len()?;
         let mut trees = Vec::with_capacity(n_trees.min(r.remaining()));
         for _ in 0..n_trees {
-            trees.push(RegressionTree::decode(r)?);
+            let tree = RegressionTree::decode(r)?;
+            check_width(tree.n_features(), n_features)?;
+            trees.push(tree);
         }
         Ok(GbdtRegressor {
             base,
@@ -529,6 +536,11 @@ impl GbdtClassifier {
         self.n_classes
     }
 
+    /// Number of features the model was fitted on.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Serialize: priors, learning rate, then `rounds × classes` trees.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_f64s(&self.priors);
@@ -558,9 +570,14 @@ impl GbdtClassifier {
         let n_rounds = r.len()?;
         let mut trees = Vec::with_capacity(n_rounds.min(r.remaining()));
         for _ in 0..n_rounds {
-            let round: Result<Vec<_>, _> =
-                (0..n_classes).map(|_| RegressionTree::decode(r)).collect();
-            trees.push(round?);
+            let round = (0..n_classes)
+                .map(|_| {
+                    let tree = RegressionTree::decode(r)?;
+                    check_width(tree.n_features(), n_features)?;
+                    Ok(tree)
+                })
+                .collect::<Result<Vec<_>, CodecError>>()?;
+            trees.push(round);
         }
         Ok(GbdtClassifier {
             trees,
@@ -942,6 +959,51 @@ mod tests {
         // Stage 0 = just the base prediction (the target mean).
         let mean = ys.iter().sum::<f64>() / 50.0;
         assert!((m.predict_row_staged(&[25.0], 0) - mean).abs() < 1e-9);
+    }
+
+    /// A one-split tree over 5 features that splits on feature 4.
+    fn put_wide_tree(w: &mut ByteWriter) {
+        w.put_len(5); // n_features
+        w.put_len(3); // nodes
+        w.put_u8(1);
+        w.put_len(4);
+        w.put_f64(0.5);
+        w.put_f64(1.0);
+        w.put_len(1);
+        w.put_len(2);
+        for value in [1.0, 2.0] {
+            w.put_u8(0);
+            w.put_f64(value);
+        }
+    }
+
+    #[test]
+    fn regressor_decode_rejects_trees_wider_than_the_model() {
+        // predict_row(&[0.0, 0.0]) would index feature 4 of a 2-wide row.
+        let mut w = ByteWriter::new();
+        w.put_f64(0.0); // base
+        w.put_f64(0.1); // lr
+        w.put_len(2); // n_features
+        w.put_len(1); // trees
+        put_wide_tree(&mut w);
+        let bytes = w.into_bytes();
+        let got = GbdtRegressor::decode(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
+    }
+
+    #[test]
+    fn classifier_decode_rejects_trees_wider_than_the_model() {
+        let mut w = ByteWriter::new();
+        w.put_f64s(&[0.0, 0.0]); // priors
+        w.put_f64(0.1); // lr
+        w.put_len(2); // n_classes
+        w.put_len(2); // n_features
+        w.put_len(1); // rounds
+        put_wide_tree(&mut w);
+        put_wide_tree(&mut w);
+        let bytes = w.into_bytes();
+        let got = GbdtClassifier::decode(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
     }
 
     #[test]

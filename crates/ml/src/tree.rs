@@ -1,6 +1,7 @@
 //! CART decision trees.
 //!
-//! Two variants share the same split machinery:
+//! Two variants grow through one builder and differ only in their split
+//! criterion and leaf payload:
 //!
 //! - [`RegressionTree`]: fits first/second-order gradients (XGBoost-style),
 //!   so the same code serves plain regression (`g = −y, h = 1` reduces the
@@ -12,12 +13,13 @@
 //! Both support depth bounds, minimum leaf sizes and random feature
 //! subspaces (for forests).
 //!
-//! `RegressionTree` is exact CART without per-tree float sorting: each
-//! feature is ranked once per fit (`RankedColumns`), a tree's per-feature
-//! row orders come from a stable counting sort on those ranks, and nodes
-//! split those orders in place. Boosting ranks once and reuses the ranks in
-//! every round; the trees are the same, bit for bit, as sorting each
-//! tree's rows by value would give.
+//! The builder is exact CART without per-tree float sorting: each feature
+//! is ranked once per fit (`RankedColumns`), a tree's per-feature row
+//! orders come from a stable counting sort on those ranks (a bootstrap may
+//! list a row more than once), and nodes split those orders in place.
+//! Boosting and bagging rank once and reuse the ranks for every tree; the
+//! trees are the same, bit for bit, as sorting each tree's rows by value
+//! would give.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use rand::rngs::StdRng;
@@ -47,32 +49,148 @@ impl Default for TreeConfig {
     }
 }
 
+/// A tree node holding leaf payload `L`. Nodes are stored in pre-order, so
+/// children always follow their parent.
 #[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
+enum Node<L> {
+    Leaf(L),
     Split {
         feature: usize,
         threshold: f64,
-        /// Gain achieved by this split (for feature importance).
+        /// Gain achieved by this split (for feature importance). Gini trees
+        /// report no importance and keep 0.
         gain: f64,
         left: usize,
         right: usize,
     },
 }
 
+/// The leaf that `row` falls into.
+fn leaf<'a, L>(nodes: &'a [Node<L>], row: &[f64]) -> &'a L {
+    let mut i = 0;
+    loop {
+        match &nodes[i] {
+            Node::Leaf(payload) => return payload,
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+                ..
+            } => {
+                i = if row[*feature] <= *threshold {
+                    *left
+                } else {
+                    *right
+                };
+            }
+        }
+    }
+}
+
+/// Serialize `nodes` as a count and a flat array, one tag byte per node.
+/// Splits carry their gain only when `with_gain` is set.
+fn encode_nodes<L>(
+    w: &mut ByteWriter,
+    nodes: &[Node<L>],
+    with_gain: bool,
+    put_leaf: impl Fn(&mut ByteWriter, &L),
+) {
+    w.put_len(nodes.len());
+    for n in nodes {
+        match n {
+            Node::Leaf(payload) => {
+                w.put_u8(0);
+                put_leaf(w, payload);
+            }
+            Node::Split {
+                feature,
+                threshold,
+                gain,
+                left,
+                right,
+            } => {
+                w.put_u8(1);
+                w.put_len(*feature);
+                w.put_f64(*threshold);
+                if with_gain {
+                    w.put_f64(*gain);
+                }
+                w.put_len(*left);
+                w.put_len(*right);
+            }
+        }
+    }
+}
+
+/// Inverse of [`encode_nodes`]. Child and feature indices are validated so
+/// a decoded tree can never panic or loop during prediction: the builder
+/// emits nodes in pre-order, so every child must come after its parent and
+/// be in range.
+fn decode_nodes<L>(
+    r: &mut ByteReader<'_>,
+    n_features: usize,
+    with_gain: bool,
+    what: &'static str,
+    get_leaf: impl Fn(&mut ByteReader<'_>) -> Result<L, CodecError>,
+) -> Result<Vec<Node<L>>, CodecError> {
+    let count = r.len()?;
+    if count == 0 {
+        return Err(CodecError::Invalid("tree with zero nodes".into()));
+    }
+    let mut nodes = Vec::with_capacity(count.min(r.remaining()));
+    for i in 0..count {
+        nodes.push(match r.u8()? {
+            0 => Node::Leaf(get_leaf(r)?),
+            1 => {
+                let feature = r.len()?;
+                let threshold = r.f64()?;
+                let gain = if with_gain { r.f64()? } else { 0.0 };
+                let left = r.len()?;
+                let right = r.len()?;
+                let children_follow = i < left.min(right) && left.max(right) < count;
+                if feature >= n_features || !children_follow {
+                    return Err(CodecError::Invalid(format!(
+                        "node {i} splits on feature {feature} of {n_features} into nodes \
+                         {left}/{right} of {count}: children must follow their parent"
+                    )));
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    gain,
+                    left,
+                    right,
+                }
+            }
+            tag => return Err(CodecError::BadTag { what, tag }),
+        });
+    }
+    Ok(nodes)
+}
+
+/// Reject a decoded tree whose feature count differs from the one its
+/// model serves: its splits could index past the end of a served row.
+pub(crate) fn check_width(tree_features: usize, model_features: usize) -> Result<(), CodecError> {
+    if tree_features == model_features {
+        return Ok(());
+    }
+    Err(CodecError::Invalid(format!(
+        "tree over {tree_features} features in a model over {model_features}"
+    )))
+}
+
 /// Gradient-fitted regression tree.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
-    nodes: Vec<Node>,
+    nodes: Vec<Node<f64>>,
     n_features: usize,
 }
 
 /// Training rows stored feature-major, with each value's dense rank under
-/// `f64::total_cmp`. Built once per fit; every tree of a boosting run then
-/// orders its rows by a counting sort on the ranks instead of re-sorting
-/// floats.
+/// `f64::total_cmp`. Built once per fit; every tree of a boosting run or a
+/// forest then orders its rows by a counting sort on the ranks instead of
+/// re-sorting floats.
 pub(crate) struct RankedColumns {
     n_rows: usize,
     /// `values[f][row]`.
@@ -117,6 +235,7 @@ impl RankedColumns {
     /// Each feature's order of `rows`: a stable counting sort by rank, so
     /// ties keep their order in `rows`, exactly as a stable
     /// `sort_by(total_cmp)` over the rows taken in that order would.
+    /// `rows` may repeat a row (a bootstrap sample).
     pub(crate) fn orders(&self, rows: &[usize]) -> RowOrders {
         let len = rows.len();
         let mut order = vec![0u32; self.values.len() * len];
@@ -194,28 +313,10 @@ impl RegressionTree {
     ) -> Self {
         assert_eq!(cols.n_rows, g.len(), "rows/g length mismatch");
         assert_eq!(cols.n_rows, h.len(), "rows/h length mismatch");
-        assert!(orders.len > 0, "cannot fit a tree on no data");
-        let n_features = cols.values.len();
-        assert!(n_features > 0, "need at least one feature");
-        let len = orders.len;
-        let mut grower = Grower {
-            tree: RegressionTree {
-                nodes: Vec::new(),
-                n_features,
-            },
-            cols,
-            orders,
-            g,
-            h,
-            cfg,
-            rng,
-            goes_left: vec![false; cols.n_rows],
-            scratch: Vec::with_capacity(len),
-        };
-        grower.build(0, len, 0);
-        // A boosted model keeps hundreds of trees: hold no spare capacity.
-        grower.tree.nodes.shrink_to_fit();
-        grower.tree
+        RegressionTree {
+            nodes: grow(cols, orders, GradientGain { g, h }, cfg, rng),
+            n_features: cols.values.len(),
+        }
     }
 
     /// Convenience: least-squares fit on targets.
@@ -225,32 +326,9 @@ impl RegressionTree {
         Self::fit_gradients(xs, &g, &h, cfg, None)
     }
 
-    fn push(&mut self, n: Node) -> usize {
-        self.nodes.push(n);
-        self.nodes.len() - 1
-    }
-
     /// Predict for one row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut i = 0;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    i = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
+        *leaf(&self.nodes, row)
     }
 
     /// Predict for many rows.
@@ -272,98 +350,325 @@ impl RegressionTree {
         self.nodes.len()
     }
 
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Serialize as a flat node array (tag byte per node).
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_len(self.n_features);
-        w.put_len(self.nodes.len());
-        for n in &self.nodes {
-            match n {
-                Node::Leaf { value } => {
-                    w.put_u8(0);
-                    w.put_f64(*value);
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    gain,
-                    left,
-                    right,
-                } => {
-                    w.put_u8(1);
-                    w.put_len(*feature);
-                    w.put_f64(*threshold);
-                    w.put_f64(*gain);
-                    w.put_len(*left);
-                    w.put_len(*right);
-                }
-            }
+        encode_nodes(w, &self.nodes, true, |w, value| w.put_f64(*value));
+    }
+
+    /// Inverse of [`Self::encode`], with index validation: a decoded tree
+    /// can never panic or loop during prediction.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let n_features = r.len()?;
+        let nodes = decode_nodes(r, n_features, true, "tree node", |r| r.f64())?;
+        Ok(RegressionTree { nodes, n_features })
+    }
+}
+
+/// Gini-impurity classification tree with majority-vote leaves.
+#[derive(Debug, Clone)]
+pub struct ClassificationTree {
+    nodes: Vec<Node<ClassLeaf>>,
+    n_features: usize,
+    n_classes: usize,
+}
+
+/// A classification leaf: the majority class and the class frequencies.
+#[derive(Debug, Clone)]
+struct ClassLeaf {
+    class: usize,
+    proba: Vec<f64>,
+}
+
+impl ClassificationTree {
+    /// Fit on labels in `0..n_classes`.
+    pub fn fit(
+        xs: &[Vec<f64>],
+        ys: &[usize],
+        n_classes: usize,
+        cfg: &TreeConfig,
+        rng: Option<&mut StdRng>,
+    ) -> Self {
+        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
+        assert!(ys.iter().all(|&y| y < n_classes), "label out of range");
+        let cols = RankedColumns::new(xs);
+        let rows: Vec<usize> = (0..xs.len()).collect();
+        Self::fit_ranked(&cols, &mut cols.orders(&rows), ys, n_classes, cfg, rng)
+    }
+
+    /// [`RegressionTree::fit_ranked`] for labels in `0..n_classes`, indexed
+    /// by row id.
+    pub(crate) fn fit_ranked(
+        cols: &RankedColumns,
+        orders: &mut RowOrders,
+        ys: &[usize],
+        n_classes: usize,
+        cfg: &TreeConfig,
+        rng: Option<&mut StdRng>,
+    ) -> Self {
+        assert_eq!(cols.n_rows, ys.len(), "rows/ys length mismatch");
+        ClassificationTree {
+            nodes: grow(cols, orders, Gini { ys, n_classes }, cfg, rng),
+            n_features: cols.values.len(),
+            n_classes,
         }
     }
 
-    /// Inverse of [`Self::encode`]. Child and feature indices are validated
-    /// so a decoded tree can never panic or loop during prediction: the
-    /// builder emits nodes in pre-order, so every child must come after its
-    /// parent and be in range.
+    /// Predicted class for one row.
+    pub fn predict_row(&self, row: &[f64]) -> usize {
+        leaf(&self.nodes, row).class
+    }
+
+    /// Class probabilities for one row (leaf class frequencies).
+    pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
+        leaf(&self.nodes, row).proba.clone()
+    }
+
+    /// Predicted classes for many rows.
+    pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<usize> {
+        xs.iter().map(|r| self.predict_row(r)).collect()
+    }
+
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    pub(crate) fn n_classes(&self) -> usize {
+        self.n_classes
+    }
+
+    /// Serialize as a flat node array (tag byte per node).
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_len(self.n_features);
+        w.put_len(self.n_classes);
+        encode_nodes(w, &self.nodes, false, |w, leaf| {
+            w.put_len(leaf.class);
+            w.put_f64s(&leaf.proba);
+        });
+    }
+
+    /// Inverse of [`Self::encode`], with the same index validation as
+    /// [`RegressionTree::decode`].
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n_features = r.len()?;
-        let count = r.len()?;
-        if count == 0 {
-            return Err(CodecError::Invalid("tree with zero nodes".into()));
-        }
-        let mut nodes = Vec::with_capacity(count.min(r.remaining()));
-        for i in 0..count {
-            nodes.push(match r.u8()? {
-                0 => Node::Leaf { value: r.f64()? },
-                1 => {
-                    let feature = r.len()?;
-                    let threshold = r.f64()?;
-                    let gain = r.f64()?;
-                    let left = r.len()?;
-                    let right = r.len()?;
-                    if feature >= n_features {
-                        return Err(CodecError::Invalid(format!(
-                            "split feature {feature} out of range (n_features = {n_features})"
-                        )));
-                    }
-                    if left >= count || right >= count {
-                        return Err(CodecError::Invalid(format!(
-                            "child index out of range ({left}/{right} vs {count} nodes)"
-                        )));
-                    }
-                    if left <= i || right <= i {
-                        return Err(CodecError::Invalid(format!(
-                            "node {i} has child {left}/{right} that does not follow it"
-                        )));
-                    }
-                    Node::Split {
-                        feature,
-                        threshold,
-                        gain,
-                        left,
-                        right,
-                    }
-                }
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "tree node",
-                        tag,
-                    })
-                }
-            });
-        }
-        Ok(RegressionTree { nodes, n_features })
+        let n_classes = r.len()?;
+        let nodes = decode_nodes(r, n_features, false, "ctree node", |r| {
+            let class = r.len()?;
+            let proba = r.f64s()?;
+            if class >= n_classes || proba.len() != n_classes {
+                return Err(CodecError::Invalid(format!(
+                    "leaf class {class}/proba {} vs {n_classes} classes",
+                    proba.len()
+                )));
+            }
+            Ok(ClassLeaf { class, proba })
+        })?;
+        Ok(ClassificationTree {
+            nodes,
+            n_features,
+            n_classes,
+        })
     }
+}
+
+/// What a tree kind decides for itself: node totals, split scores and leaf
+/// payloads. Row orders, feature draws, stopping rules, partitioning and
+/// node emission are [`Grower`]'s.
+trait Criterion {
+    type Leaf;
+    /// A node's totals, summed in the order of `idx` (it fixes their bits).
+    type Totals;
+    /// The left side's running totals while one feature is swept.
+    type Sweep;
+    fn totals(&self, idx: &[u32]) -> Self::Totals;
+    fn leaf(&self, t: &Self::Totals) -> Self::Leaf;
+    /// No split can help; checked before any feature is drawn.
+    fn is_pure(&self, t: &Self::Totals, idx: &[u32]) -> bool;
+    fn sweep(&self) -> Self::Sweep;
+    fn add_left(&self, s: &mut Self::Sweep, row: usize);
+    /// The score of the split after the swept rows, if the split is allowed
+    /// and beats `best` (the best so far; `None` before any).
+    fn improves(&self, t: &Self::Totals, s: &Self::Sweep, best: Option<f64>) -> Option<f64>;
+    /// The gain a split node records (for feature importance).
+    fn gain(score: f64) -> f64;
+}
+
+/// Second-order gradient gain; leaves are the Newton step `−Σg / Σh`.
+struct GradientGain<'a> {
+    g: &'a [f64],
+    h: &'a [f64],
+}
+
+impl Criterion for GradientGain<'_> {
+    type Leaf = f64;
+    /// `(Σg, Σh, Σg² / Σh)`.
+    type Totals = (f64, f64, f64);
+    /// `(Σg, Σh)` of the left side.
+    type Sweep = (f64, f64);
+
+    fn totals(&self, idx: &[u32]) -> (f64, f64, f64) {
+        let sum_g: f64 = idx.iter().map(|&i| self.g[i as usize]).sum();
+        let sum_h: f64 = idx.iter().map(|&i| self.h[i as usize]).sum();
+        (sum_g, sum_h, sum_g * sum_g / sum_h.max(1e-12))
+    }
+
+    fn leaf(&self, &(sum_g, sum_h, _): &(f64, f64, f64)) -> f64 {
+        if sum_h.abs() > 1e-12 {
+            -sum_g / sum_h
+        } else {
+            0.0
+        }
+    }
+
+    /// All implied targets equal: nothing to gain even at zero cost.
+    fn is_pure(&self, _: &(f64, f64, f64), idx: &[u32]) -> bool {
+        let target = |i: u32| -self.g[i as usize] / self.h[i as usize].max(1e-12);
+        let first_target = target(idx[0]);
+        idx.iter()
+            .all(|&i| (target(i) - first_target).abs() < 1e-12)
+    }
+
+    fn sweep(&self) -> (f64, f64) {
+        (0.0, 0.0)
+    }
+
+    fn add_left(&self, (gl, hl): &mut (f64, f64), row: usize) {
+        *gl += self.g[row];
+        *hl += self.h[row];
+    }
+
+    fn improves(&self, t: &(f64, f64, f64), s: &(f64, f64), best: Option<f64>) -> Option<f64> {
+        let (&(sum_g, sum_h, parent_score), &(gl, hl)) = (t, s);
+        let (gr, hr) = (sum_g - gl, sum_h - hl);
+        // Gain is non-negative by convexity; zero-gain splits are accepted
+        // (like sklearn) so symmetric targets such as XOR can still be
+        // separated at deeper levels.
+        (hl > 1e-12 && hr > 1e-12)
+            .then(|| gl * gl / hl + gr * gr / hr - parent_score)
+            .filter(|&gain| gain > best.unwrap_or(-1e-12))
+    }
+
+    fn gain(score: f64) -> f64 {
+        score
+    }
+}
+
+/// Weighted Gini impurity of the children; leaves hold the majority class
+/// and the class frequencies.
+struct Gini<'a> {
+    ys: &'a [usize],
+    n_classes: usize,
+}
+
+struct ClassTotals {
+    counts: Vec<f64>,
+    total: f64,
+    parent_gini: f64,
+}
+
+fn gini(counts: impl Iterator<Item = f64> + Clone) -> f64 {
+    let n: f64 = counts.clone().sum();
+    if n == 0.0 {
+        return 0.0;
+    }
+    1.0 - counts.map(|c| (c / n) * (c / n)).sum::<f64>()
+}
+
+impl Criterion for Gini<'_> {
+    type Leaf = ClassLeaf;
+    type Totals = ClassTotals;
+    /// Class counts of the left side.
+    type Sweep = Vec<f64>;
+
+    fn totals(&self, idx: &[u32]) -> ClassTotals {
+        let mut counts = vec![0.0; self.n_classes];
+        for &i in idx {
+            counts[self.ys[i as usize]] += 1.0;
+        }
+        ClassTotals {
+            total: counts.iter().sum(),
+            parent_gini: gini(counts.iter().copied()),
+            counts,
+        }
+    }
+
+    fn leaf(&self, t: &ClassTotals) -> ClassLeaf {
+        let class = (0..self.n_classes).max_by(|&a, &b| t.counts[a].total_cmp(&t.counts[b]));
+        let proba = t.counts.iter().map(|c| c / t.total.max(1.0)).collect();
+        ClassLeaf {
+            class: class.unwrap_or(0),
+            proba,
+        }
+    }
+
+    fn is_pure(&self, t: &ClassTotals, _: &[u32]) -> bool {
+        t.parent_gini == 0.0
+    }
+
+    fn sweep(&self) -> Vec<f64> {
+        vec![0.0; self.n_classes]
+    }
+
+    fn add_left(&self, left: &mut Vec<f64>, row: usize) {
+        left[self.ys[row]] += 1.0;
+    }
+
+    fn improves(&self, t: &ClassTotals, left: &Vec<f64>, best: Option<f64>) -> Option<f64> {
+        // Counts are whole numbers, so this sum is exact.
+        let ln: f64 = left.iter().sum();
+        let rn = t.total - ln;
+        let right = t.counts.iter().zip(left).map(|(c, l)| c - l);
+        let w = (ln * gini(left.iter().copied()) + rn * gini(right)) / t.total;
+        (w < best.unwrap_or(t.parent_gini + 1e-12)).then_some(w)
+    }
+
+    fn gain(_: f64) -> f64 {
+        0.0
+    }
+}
+
+/// Grow one tree over the rows `orders` was built from and return its
+/// nodes. `orders` is partitioned in place and holds no useful order
+/// afterwards.
+fn grow<C: Criterion>(
+    cols: &RankedColumns,
+    orders: &mut RowOrders,
+    crit: C,
+    cfg: &TreeConfig,
+    rng: Option<&mut StdRng>,
+) -> Vec<Node<C::Leaf>> {
+    assert!(orders.len > 0, "cannot fit a tree on no data");
+    assert!(!cols.values.is_empty(), "need at least one feature");
+    let len = orders.len;
+    let mut grower = Grower {
+        nodes: Vec::new(),
+        crit,
+        cols,
+        orders,
+        cfg,
+        rng,
+        goes_left: vec![false; cols.n_rows],
+        scratch: Vec::with_capacity(len),
+    };
+    grower.build(0, len, 0);
+    // A boosted model or a forest keeps hundreds of trees: hold no spare
+    // capacity.
+    grower.nodes.shrink_to_fit();
+    grower.nodes
 }
 
 /// One tree's growth state. A node owns the range `[lo, hi)` of every
 /// feature's slice of `orders`; splitting it partitions those ranges in
 /// place, so the children own `[lo, lo + n_left)` and `[lo + n_left, hi)`.
-struct Grower<'a> {
-    tree: RegressionTree,
+struct Grower<'a, C: Criterion> {
+    nodes: Vec<Node<C::Leaf>>,
+    crit: C,
     cols: &'a RankedColumns,
     orders: &'a mut RowOrders,
-    g: &'a [f64],
-    h: &'a [f64],
     cfg: &'a TreeConfig,
     rng: Option<&'a mut StdRng>,
     /// Side of the current split, by row id.
@@ -372,51 +677,29 @@ struct Grower<'a> {
     scratch: Vec<u32>,
 }
 
-impl Grower<'_> {
+impl<C: Criterion> Grower<'_, C> {
     /// Grow the subtree over `[lo, hi)` and return its root's index. Nodes
     /// are emitted in pre-order, so children always follow their parent.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let (g, h, cfg) = (self.g, self.h, self.cfg);
+        let cfg = self.cfg;
         let n = hi - lo;
-        // Node sums run in feature 0's order: the order fixes their bits.
+        // Node totals run in feature 0's order: the order fixes their bits.
         let idx = &self.orders.feature(0)[lo..hi];
-        let sum_g: f64 = idx.iter().map(|&i| g[i as usize]).sum();
-        let sum_h: f64 = idx.iter().map(|&i| h[i as usize]).sum();
-        let leaf_value = if sum_h.abs() > 1e-12 {
-            -sum_g / sum_h
-        } else {
-            0.0
-        };
-
-        if depth >= cfg.max_depth || n < cfg.min_samples_split {
-            return self.tree.push(Node::Leaf { value: leaf_value });
+        let totals = self.crit.totals(idx);
+        if depth >= cfg.max_depth || n < cfg.min_samples_split || self.crit.is_pure(&totals, idx) {
+            return self.push(Node::Leaf(self.crit.leaf(&totals)));
         }
 
-        // Pure node (all implied targets equal): nothing to gain by
-        // splitting, even at zero cost.
-        let target = |i: u32| -g[i as usize] / h[i as usize].max(1e-12);
-        let first_target = target(idx[0]);
-        if idx
-            .iter()
-            .all(|&i| (target(i) - first_target).abs() < 1e-12)
-        {
-            return self.tree.push(Node::Leaf { value: leaf_value });
-        }
-
-        let parent_score = sum_g * sum_g / sum_h.max(1e-12);
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
         for f in self.candidate_features() {
             let order = &self.orders.feature(f)[lo..hi];
             let col = &self.cols.values[f];
-            let mut gl = 0.0;
-            let mut hl = 0.0;
+            let mut sweep = self.crit.sweep();
             for (k, pair) in order.windows(2).enumerate() {
                 let i = pair[0] as usize;
-                gl += g[i];
-                hl += h[i];
+                self.crit.add_left(&mut sweep, i);
                 let left_n = k + 1;
-                let right_n = n - left_n;
-                if left_n < cfg.min_samples_leaf || right_n < cfg.min_samples_leaf {
+                if left_n < cfg.min_samples_leaf || n - left_n < cfg.min_samples_leaf {
                     continue;
                 }
                 // Can't split between equal feature values.
@@ -424,42 +707,39 @@ impl Grower<'_> {
                 if a == b {
                     continue;
                 }
-                let gr = sum_g - gl;
-                let hr = sum_h - hl;
-                if hl <= 1e-12 || hr <= 1e-12 {
-                    continue;
-                }
-                // Gain is non-negative by convexity; zero-gain splits are
-                // accepted (like sklearn) so symmetric targets such as XOR
-                // can still be separated at deeper levels.
-                let gain = gl * gl / hl + gr * gr / hr - parent_score;
-                if gain > best.map_or(-1e-12, |b| b.2) {
-                    best = Some((f, 0.5 * (a + b), gain));
+                if let Some(score) = self.crit.improves(&totals, &sweep, best.map(|b| b.2)) {
+                    best = Some((f, 0.5 * (a + b), score));
                 }
             }
         }
 
-        let Some((feature, threshold, gain)) = best else {
-            return self.tree.push(Node::Leaf { value: leaf_value });
+        let Some((feature, threshold, score)) = best else {
+            return self.push(Node::Leaf(self.crit.leaf(&totals)));
         };
         let mid = lo + self.partition(feature, threshold, lo, hi);
-        let node = self.tree.push(Node::Leaf { value: 0.0 }); // placeholder
-        let left = self.build(lo, mid, depth + 1);
-        let right = self.build(mid, hi, depth + 1);
-        self.tree.nodes[node] = Node::Split {
+        let split = |left, right| Node::Split {
             feature,
             threshold,
-            gain,
+            gain: C::gain(score),
             left,
             right,
         };
+        let node = self.push(split(0, 0)); // children filled in below
+        let left = self.build(lo, mid, depth + 1);
+        let right = self.build(mid, hi, depth + 1);
+        self.nodes[node] = split(left, right);
         node
+    }
+
+    fn push(&mut self, n: Node<C::Leaf>) -> usize {
+        self.nodes.push(n);
+        self.nodes.len() - 1
     }
 
     /// All features, or a random subspace of `max_features` of them when
     /// the caller supplied an RNG (forests).
     fn candidate_features(&mut self) -> Vec<usize> {
-        let all: Vec<usize> = (0..self.tree.n_features).collect();
+        let all: Vec<usize> = (0..self.cols.values.len()).collect();
         match (self.cfg.max_features, self.rng.as_deref_mut()) {
             (Some(k), Some(r)) if k < all.len() => {
                 let mut shuffled = all;
@@ -502,322 +782,11 @@ impl Grower<'_> {
     }
 }
 
-/// Gini-impurity classification tree with majority-vote leaves.
-#[derive(Debug, Clone)]
-pub struct ClassificationTree {
-    nodes: Vec<CNode>,
-    n_features: usize,
-    n_classes: usize,
-}
-
-#[derive(Debug, Clone)]
-enum CNode {
-    Leaf {
-        class: usize,
-        proba: Vec<f64>,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-impl ClassificationTree {
-    /// Fit on labels in `0..n_classes`.
-    pub fn fit(
-        xs: &[Vec<f64>],
-        ys: &[usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
-        rng: Option<&mut StdRng>,
-    ) -> Self {
-        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-        assert!(!xs.is_empty(), "cannot fit a tree on no data");
-        assert!(ys.iter().all(|&y| y < n_classes), "label out of range");
-        let n_features = xs[0].len();
-        assert!(n_features > 0, "need at least one feature");
-        let mut tree = ClassificationTree {
-            nodes: Vec::new(),
-            n_features,
-            n_classes,
-        };
-        let orders: Vec<Vec<usize>> = (0..n_features)
-            .map(|f| {
-                let mut v: Vec<usize> = (0..xs.len()).collect();
-                v.sort_by(|&a, &b| xs[a][f].total_cmp(&xs[b][f]));
-                v
-            })
-            .collect();
-        let mut local_rng = rng;
-        tree.build(xs, ys, orders, 0, cfg, &mut local_rng);
-        tree
-    }
-
-    fn counts(&self, ys: &[usize], idx: &[usize]) -> Vec<f64> {
-        let mut c = vec![0.0; self.n_classes];
-        for &i in idx {
-            c[ys[i]] += 1.0;
-        }
-        c
-    }
-
-    fn gini(counts: &[f64]) -> f64 {
-        let n: f64 = counts.iter().sum();
-        if n == 0.0 {
-            return 0.0;
-        }
-        1.0 - counts.iter().map(|c| (c / n) * (c / n)).sum::<f64>()
-    }
-
-    /// Recursive node builder over presorted per-feature index lists.
-    fn build(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[usize],
-        orders: Vec<Vec<usize>>,
-        depth: usize,
-        cfg: &TreeConfig,
-        rng: &mut Option<&mut StdRng>,
-    ) -> usize {
-        let idx: Vec<usize> = orders[0].clone();
-        let counts = self.counts(ys, &idx);
-        let total: f64 = counts.iter().sum();
-        let majority = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(c, _)| c)
-            .unwrap_or(0);
-        let proba: Vec<f64> = counts.iter().map(|c| c / total.max(1.0)).collect();
-
-        let parent_gini = Self::gini(&counts);
-        if depth >= cfg.max_depth || idx.len() < cfg.min_samples_split || parent_gini == 0.0 {
-            return self.push(CNode::Leaf {
-                class: majority,
-                proba,
-            });
-        }
-
-        let features: Vec<usize> = {
-            let all: Vec<usize> = (0..self.n_features).collect();
-            match (cfg.max_features, rng.as_deref_mut()) {
-                (Some(k), Some(r)) if k < self.n_features => {
-                    let mut s = all;
-                    s.shuffle(r);
-                    s.truncate(k);
-                    s
-                }
-                _ => all,
-            }
-        };
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, weighted gini)
-        for &f in &features {
-            let order = &orders[f];
-            let mut left_counts = vec![0.0; self.n_classes];
-            for k in 0..order.len().saturating_sub(1) {
-                left_counts[ys[order[k]]] += 1.0;
-                if xs[order[k]][f] == xs[order[k + 1]][f] {
-                    continue;
-                }
-                let ln = (k + 1) as f64;
-                let rn = total - ln;
-                if (ln as usize) < cfg.min_samples_leaf || (rn as usize) < cfg.min_samples_leaf {
-                    continue;
-                }
-                let right_counts: Vec<f64> = counts
-                    .iter()
-                    .zip(&left_counts)
-                    .map(|(t, l)| t - l)
-                    .collect();
-                let w = (ln * Self::gini(&left_counts) + rn * Self::gini(&right_counts)) / total;
-                if w < best.map_or(parent_gini + 1e-12, |b| b.2) {
-                    let threshold = 0.5 * (xs[order[k]][f] + xs[order[k + 1]][f]);
-                    best = Some((f, threshold, w));
-                }
-            }
-        }
-
-        match best {
-            None => self.push(CNode::Leaf {
-                class: majority,
-                proba,
-            }),
-            Some((feature, threshold, _)) => {
-                let mut left_orders = Vec::with_capacity(orders.len());
-                let mut right_orders = Vec::with_capacity(orders.len());
-                for ord in &orders {
-                    let (l, r): (Vec<usize>, Vec<usize>) =
-                        ord.iter().partition(|&&i| xs[i][feature] <= threshold);
-                    left_orders.push(l);
-                    right_orders.push(r);
-                }
-                drop(orders);
-                let node = self.push(CNode::Leaf {
-                    class: majority,
-                    proba: vec![0.0; self.n_classes],
-                });
-                let left = self.build(xs, ys, left_orders, depth + 1, cfg, rng);
-                let right = self.build(xs, ys, right_orders, depth + 1, cfg, rng);
-                self.nodes[node] = CNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                node
-            }
-        }
-    }
-
-    fn push(&mut self, n: CNode) -> usize {
-        self.nodes.push(n);
-        self.nodes.len() - 1
-    }
-
-    /// Predicted class for one row.
-    pub fn predict_row(&self, row: &[f64]) -> usize {
-        let mut i = 0;
-        loop {
-            match &self.nodes[i] {
-                CNode::Leaf { class, .. } => return *class,
-                CNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// Class probabilities for one row (leaf class frequencies).
-    pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        let mut i = 0;
-        loop {
-            match &self.nodes[i] {
-                CNode::Leaf { proba, .. } => return proba.clone(),
-                CNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// Predicted classes for many rows.
-    pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        xs.iter().map(|r| self.predict_row(r)).collect()
-    }
-
-    /// Serialize as a flat node array (tag byte per node).
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_len(self.n_features);
-        w.put_len(self.n_classes);
-        w.put_len(self.nodes.len());
-        for n in &self.nodes {
-            match n {
-                CNode::Leaf { class, proba } => {
-                    w.put_u8(0);
-                    w.put_len(*class);
-                    w.put_f64s(proba);
-                }
-                CNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    w.put_u8(1);
-                    w.put_len(*feature);
-                    w.put_f64(*threshold);
-                    w.put_len(*left);
-                    w.put_len(*right);
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Self::encode`], with index validation: as in
-    /// [`RegressionTree::decode`], children must follow their parent.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let n_features = r.len()?;
-        let n_classes = r.len()?;
-        let count = r.len()?;
-        if count == 0 {
-            return Err(CodecError::Invalid("tree with zero nodes".into()));
-        }
-        let mut nodes = Vec::with_capacity(count.min(r.remaining()));
-        for i in 0..count {
-            nodes.push(match r.u8()? {
-                0 => {
-                    let class = r.len()?;
-                    let proba = r.f64s()?;
-                    if class >= n_classes || proba.len() != n_classes {
-                        return Err(CodecError::Invalid(format!(
-                            "leaf class {class}/proba {} vs {n_classes} classes",
-                            proba.len()
-                        )));
-                    }
-                    CNode::Leaf { class, proba }
-                }
-                1 => {
-                    let feature = r.len()?;
-                    let threshold = r.f64()?;
-                    let left = r.len()?;
-                    let right = r.len()?;
-                    if feature >= n_features || left >= count || right >= count {
-                        return Err(CodecError::Invalid("split indices out of range".into()));
-                    }
-                    if left <= i || right <= i {
-                        return Err(CodecError::Invalid(format!(
-                            "node {i} has child {left}/{right} that does not follow it"
-                        )));
-                    }
-                    CNode::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    }
-                }
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "ctree node",
-                        tag,
-                    })
-                }
-            });
-        }
-        Ok(ClassificationTree {
-            nodes,
-            n_features,
-            n_classes,
-        })
-    }
-}
-
-/// The presort-and-partition CART that the rank-sorted builder replaced,
-/// kept verbatim as the oracle the bit-identity tests compare against.
+/// The presort-and-partition CART builders that the rank-sorted builder
+/// replaced, kept verbatim as the oracles the bit-identity tests compare against.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{Node, RegressionTree, TreeConfig};
+    use super::{ClassLeaf, ClassificationTree, Node, RegressionTree, TreeConfig};
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -906,14 +875,14 @@ pub(crate) mod reference {
             0.0
         };
         if depth >= cfg.max_depth || n < cfg.min_samples_split {
-            return tree.push(Node::Leaf { value: leaf_value });
+            return push(&mut tree.nodes, Node::Leaf(leaf_value));
         }
         let first_target = -g[idx[0]] / h[idx[0]].max(1e-12);
         let pure = idx
             .iter()
             .all(|&i| (-g[i] / h[i].max(1e-12) - first_target).abs() < 1e-12);
         if pure {
-            return tree.push(Node::Leaf { value: leaf_value });
+            return push(&mut tree.nodes, Node::Leaf(leaf_value));
         }
         let parent_score = sum_g * sum_g / sum_h.max(1e-12);
         let features: Vec<usize> = {
@@ -958,7 +927,7 @@ pub(crate) mod reference {
             }
         }
         match best {
-            None => tree.push(Node::Leaf { value: leaf_value }),
+            None => push(&mut tree.nodes, Node::Leaf(leaf_value)),
             Some((feature, threshold, gain)) => {
                 let mut left_orders = Vec::with_capacity(orders.len());
                 let mut right_orders = Vec::with_capacity(orders.len());
@@ -969,13 +938,183 @@ pub(crate) mod reference {
                     right_orders.push(r);
                 }
                 drop(orders);
-                let node = tree.push(Node::Leaf { value: 0.0 });
+                let node = push(&mut tree.nodes, Node::Leaf(0.0));
                 let left = build(tree, xs, g, h, left_orders, depth + 1, cfg, rng);
                 let right = build(tree, xs, g, h, right_orders, depth + 1, cfg, rng);
                 tree.nodes[node] = Node::Split {
                     feature,
                     threshold,
                     gain,
+                    left,
+                    right,
+                };
+                node
+            }
+        }
+    }
+
+    fn push<L>(nodes: &mut Vec<Node<L>>, n: Node<L>) -> usize {
+        nodes.push(n);
+        nodes.len() - 1
+    }
+
+    /// Labels in `0..3` from [`tie_heavy_data`]'s targets, cut at the
+    /// paper's 300/700 Mbps class boundaries.
+    pub(crate) fn tie_heavy_labels(ys: &[f64]) -> Vec<usize> {
+        ys.iter()
+            .map(|&y| usize::from(y >= 300.0) + usize::from(y > 700.0))
+            .collect()
+    }
+
+    /// The former `ClassificationTree::fit`: sorts every feature for this
+    /// tree, then allocates two index lists per feature per split.
+    pub(crate) fn fit_classification(
+        xs: &[Vec<f64>],
+        ys: &[usize],
+        n_classes: usize,
+        cfg: &TreeConfig,
+        rng: Option<&mut StdRng>,
+    ) -> ClassificationTree {
+        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
+        assert!(!xs.is_empty(), "cannot fit a tree on no data");
+        assert!(ys.iter().all(|&y| y < n_classes), "label out of range");
+        let n_features = xs[0].len();
+        assert!(n_features > 0, "need at least one feature");
+        let mut tree = ClassificationTree {
+            nodes: Vec::new(),
+            n_features,
+            n_classes,
+        };
+        let orders: Vec<Vec<usize>> = (0..n_features)
+            .map(|f| {
+                let mut v: Vec<usize> = (0..xs.len()).collect();
+                v.sort_by(|&a, &b| xs[a][f].total_cmp(&xs[b][f]));
+                v
+            })
+            .collect();
+        let mut local_rng = rng;
+        build_classification(&mut tree, xs, ys, orders, 0, cfg, &mut local_rng);
+        tree
+    }
+
+    fn counts(tree: &ClassificationTree, ys: &[usize], idx: &[usize]) -> Vec<f64> {
+        let mut c = vec![0.0; tree.n_classes];
+        for &i in idx {
+            c[ys[i]] += 1.0;
+        }
+        c
+    }
+
+    fn gini(counts: &[f64]) -> f64 {
+        let n: f64 = counts.iter().sum();
+        if n == 0.0 {
+            return 0.0;
+        }
+        1.0 - counts.iter().map(|c| (c / n) * (c / n)).sum::<f64>()
+    }
+
+    fn build_classification(
+        tree: &mut ClassificationTree,
+        xs: &[Vec<f64>],
+        ys: &[usize],
+        orders: Vec<Vec<usize>>,
+        depth: usize,
+        cfg: &TreeConfig,
+        rng: &mut Option<&mut StdRng>,
+    ) -> usize {
+        let idx: Vec<usize> = orders[0].clone();
+        let counts = counts(tree, ys, &idx);
+        let total: f64 = counts.iter().sum();
+        let majority = counts
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(c, _)| c)
+            .unwrap_or(0);
+        let proba: Vec<f64> = counts.iter().map(|c| c / total.max(1.0)).collect();
+
+        let parent_gini = gini(&counts);
+        if depth >= cfg.max_depth || idx.len() < cfg.min_samples_split || parent_gini == 0.0 {
+            return push(
+                &mut tree.nodes,
+                Node::Leaf(ClassLeaf {
+                    class: majority,
+                    proba,
+                }),
+            );
+        }
+
+        let features: Vec<usize> = {
+            let all: Vec<usize> = (0..tree.n_features).collect();
+            match (cfg.max_features, rng.as_deref_mut()) {
+                (Some(k), Some(r)) if k < tree.n_features => {
+                    let mut s = all;
+                    s.shuffle(r);
+                    s.truncate(k);
+                    s
+                }
+                _ => all,
+            }
+        };
+
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, weighted gini)
+        for &f in &features {
+            let order = &orders[f];
+            let mut left_counts = vec![0.0; tree.n_classes];
+            for k in 0..order.len().saturating_sub(1) {
+                left_counts[ys[order[k]]] += 1.0;
+                if xs[order[k]][f] == xs[order[k + 1]][f] {
+                    continue;
+                }
+                let ln = (k + 1) as f64;
+                let rn = total - ln;
+                if (ln as usize) < cfg.min_samples_leaf || (rn as usize) < cfg.min_samples_leaf {
+                    continue;
+                }
+                let right_counts: Vec<f64> = counts
+                    .iter()
+                    .zip(&left_counts)
+                    .map(|(t, l)| t - l)
+                    .collect();
+                let w = (ln * gini(&left_counts) + rn * gini(&right_counts)) / total;
+                if w < best.map_or(parent_gini + 1e-12, |b| b.2) {
+                    let threshold = 0.5 * (xs[order[k]][f] + xs[order[k + 1]][f]);
+                    best = Some((f, threshold, w));
+                }
+            }
+        }
+
+        match best {
+            None => push(
+                &mut tree.nodes,
+                Node::Leaf(ClassLeaf {
+                    class: majority,
+                    proba,
+                }),
+            ),
+            Some((feature, threshold, _)) => {
+                let mut left_orders = Vec::with_capacity(orders.len());
+                let mut right_orders = Vec::with_capacity(orders.len());
+                for ord in &orders {
+                    let (l, r): (Vec<usize>, Vec<usize>) =
+                        ord.iter().partition(|&&i| xs[i][feature] <= threshold);
+                    left_orders.push(l);
+                    right_orders.push(r);
+                }
+                drop(orders);
+                let node = push(
+                    &mut tree.nodes,
+                    Node::Leaf(ClassLeaf {
+                        class: majority,
+                        proba: vec![0.0; tree.n_classes],
+                    }),
+                );
+                let left = build_classification(tree, xs, ys, left_orders, depth + 1, cfg, rng);
+                let right = build_classification(tree, xs, ys, right_orders, depth + 1, cfg, rng);
+                tree.nodes[node] = Node::Split {
+                    feature,
+                    threshold,
+                    gain: 0.0,
                     left,
                     right,
                 };
@@ -996,9 +1135,9 @@ mod tests {
         (xs, ys)
     }
 
-    fn encoded(t: &RegressionTree) -> Vec<u8> {
+    fn encoded(encode: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        t.encode(&mut w);
+        encode(&mut w);
         w.into_bytes()
     }
 
@@ -1007,6 +1146,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         for seed in 0..24u64 {
             let (xs, ys) = reference::tie_heavy_data(seed, 40 + 23 * seed as usize);
+            let labels = reference::tie_heavy_labels(&ys);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
             // Least squares, then Newton-style gradients with varying h.
             let g: Vec<f64> = ys.iter().map(|y| -y).collect();
@@ -1027,8 +1167,21 @@ mod tests {
                 let mut b = StdRng::seed_from_u64(seed);
                 let got = RegressionTree::fit_gradients(&xs, &g, &h, &cfg, Some(&mut a));
                 let want = reference::fit_gradients(&xs, &g, &h, &cfg, Some(&mut b));
-                assert_eq!(encoded(&got), encoded(&want), "seed {seed}, {cfg:?}");
+                assert_eq!(
+                    encoded(|w| got.encode(w)),
+                    encoded(|w| want.encode(w)),
+                    "seed {seed}, {cfg:?}"
+                );
                 assert_eq!(a, b, "feature draws diverged (seed {seed})");
+
+                let got = ClassificationTree::fit(&xs, &labels, 3, &cfg, Some(&mut a));
+                let want = reference::fit_classification(&xs, &labels, 3, &cfg, Some(&mut b));
+                assert_eq!(
+                    encoded(|w| got.encode(w)),
+                    encoded(|w| want.encode(w)),
+                    "Gini, seed {seed}, {cfg:?}"
+                );
+                assert_eq!(a, b, "Gini feature draws diverged (seed {seed})");
             }
         }
     }
