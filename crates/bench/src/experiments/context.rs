@@ -276,7 +276,11 @@ impl Context {
         let path = plan.dir.join(format!("{key}.ckpt.l5gm"));
         let resume = if plan.resume {
             match persist::load_checkpoint(&path) {
-                Ok(TrainingCheckpoint::Gdbt(ck)) if ck.cfg == *cfg && ck.n_rows == xs.len() => {
+                Ok(TrainingCheckpoint::Gdbt(ck))
+                    if ck.cfg == *cfg
+                        && ck.n_rows == xs.len()
+                        && ck.n_features().is_none_or(|w| w == xs[0].len()) =>
+                {
                     eprintln!(
                         "    resuming {key} from {} ({} rounds done)",
                         path.display(),
@@ -607,6 +611,39 @@ mod tests {
         });
         let loaded = ctx.gbdt_or_load("ctx_test_gdbt", FeatureSet::L, &cfg, &xs, &ys);
         for (a, b) in fitted.predict(&xs).iter().zip(&loaded.predict(&xs)) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gbdt_resume_trains_from_scratch_over_a_checkpoint_of_another_width() {
+        let dir = std::env::temp_dir().join(format!("l5gm-ctx-width-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        // Same config and row count, but the checkpoint's trees split on
+        // feature 4 of 5-wide rows; resuming over 2-wide rows would index
+        // past their end.
+        let wide: Vec<Vec<f64>> = (0..80)
+            .map(|i| vec![0.0, 0.0, 0.0, 0.0, (i % 9) as f64])
+            .collect();
+        let narrow: Vec<Vec<f64>> = (0..80).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let ys: Vec<f64> = wide.iter().map(|r| 5.0 * r[4]).collect();
+        let cfg = Scale::Quick.gbdt();
+        let mut first = None;
+        let _ = GbdtRegressor::fit_resumable(&wide, &ys, &cfg, None, 1, |ck| {
+            first.get_or_insert_with(|| ck.clone());
+        });
+        let ck = first.expect("a checkpoint after round 1");
+        assert_eq!(ck.n_features(), Some(5));
+        let path = dir.join("ctx_width.ckpt.l5gm");
+        persist::save_checkpoint(&TrainingCheckpoint::Gdbt(ck), &path).unwrap();
+
+        let mut ctx = Context::new(Scale::Quick, 1);
+        ctx.checkpoints = Some(CheckpointPlan::new(dir.clone(), 0, true, None));
+        let got = ctx.fit_gbdt("ctx_width", &cfg, &narrow, &ys);
+        let want = GbdtRegressor::fit(&narrow, &ys, &cfg);
+        for (a, b) in got.predict(&narrow).iter().zip(&want.predict(&narrow)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         std::fs::remove_dir_all(&dir).ok();

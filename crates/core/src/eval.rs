@@ -247,8 +247,9 @@ pub fn summarize(
 }
 
 /// Run both tasks. Seq2Seq trains **once** and derives both metrics from
-/// the same predictions; every other family runs both paths (Kriging and
-/// Harmonic Mean classify by bucketing their regression output there).
+/// the same predictions; every other family runs both paths concurrently
+/// (they share no state or RNG; Kriging and Harmonic Mean classify by
+/// bucketing their regression output there).
 pub fn eval_both(
     data: &Dataset,
     set: FeatureSet,
@@ -270,9 +271,13 @@ pub fn eval_both(
             Ok((reg_metrics(&truth, &pred), clf_metrics(&t, &q)))
         }
         _ => {
-            let reg = regression_eval(data, set, model, split_seed)?;
-            let clf = classification_eval(data, set, model, split_seed)?;
-            Ok((reg, clf))
+            let (reg, clf) = std::thread::scope(|s| {
+                let clf = s.spawn(|| classification_eval(data, set, model, split_seed));
+                let reg = regression_eval(data, set, model, split_seed);
+                let clf = clf.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                (reg, clf)
+            });
+            Ok((reg?, clf?))
         }
     }
 }

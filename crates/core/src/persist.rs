@@ -365,8 +365,9 @@ pub fn decode_regressor(bytes: &[u8]) -> Result<TrainedRegressor, PersistError> 
     Ok(model)
 }
 
-/// A tree model must be exactly as wide as the rows its feature spec
-/// extracts: a wider one would index past them when served.
+/// A tree or KNN model must be exactly as wide as the rows its feature
+/// spec extracts: a tree would index past them when served, and KNN's
+/// scaler would refuse them.
 fn check_width(n_features: usize, spec: &FeatureSpec) -> Result<(), PersistError> {
     if n_features == spec.dim() {
         return Ok(());
@@ -405,10 +406,12 @@ fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, Per
             check_width(model.n_features(), &spec)?;
             TrainedRegressor::RandomForest { model, spec }
         }
-        FAM_KNN => TrainedRegressor::Knn {
-            model: KnnRegressor::decode(r)?,
-            spec: need_spec(spec)?,
-        },
+        FAM_KNN => {
+            let model = KnnRegressor::decode(r)?;
+            let spec = need_spec(spec)?;
+            check_width(model.n_features(), &spec)?;
+            TrainedRegressor::Knn { model, spec }
+        }
         FAM_HARMONIC => {
             let window = r.u32()? as usize;
             if window == 0 {
@@ -529,10 +532,12 @@ pub fn decode_classifier(bytes: &[u8]) -> Result<TrainedClassifier, PersistError
             check_width(model.n_features(), &spec)?;
             TrainedClassifier::RfNative { model, spec }
         }
-        FAM_KNN => TrainedClassifier::KnnNative {
-            model: KnnClassifier::decode(&mut r)?,
-            spec: need_spec(spec)?,
-        },
+        FAM_KNN => {
+            let model = KnnClassifier::decode(&mut r)?;
+            let spec = need_spec(spec)?;
+            check_width(model.n_features(), &spec)?;
+            TrainedClassifier::KnnNative { model, spec }
+        }
         FAM_FROM_REGRESSION => {
             let len = r.len()?;
             let inner = r.take(len)?;
@@ -826,16 +831,17 @@ mod tests {
     }
 
     #[test]
-    fn tree_models_wider_than_their_feature_spec_are_rejected() {
-        // Fitted on L+M+C rows, then filed under the narrower L spec: served
-        // L rows would be indexed past their end.
+    fn models_wider_than_their_feature_spec_are_rejected() {
+        // Fitted on L+M+C rows, then filed under the narrower L spec: trees
+        // would index served L rows past their end, KNN's scaler would
+        // panic on them.
         let data = campaign(11);
         let narrow = FeatureSpec::new(FeatureSet::L);
         let rf = ModelKind::RandomForest(ForestConfig {
             n_trees: 3,
             ..Default::default()
         });
-        for kind in [ModelKind::Gdbt(quick_gbdt()), rf] {
+        for kind in [ModelKind::Gdbt(quick_gbdt()), rf, ModelKind::Knn { k: 3 }] {
             let fit = Lumos5G::new(FeatureSet::LMC, kind);
             let reg = match fit.fit_regression(&data).unwrap() {
                 TrainedRegressor::Gdbt { model, .. } => TrainedRegressor::Gdbt {
@@ -843,6 +849,10 @@ mod tests {
                     spec: narrow,
                 },
                 TrainedRegressor::RandomForest { model, .. } => TrainedRegressor::RandomForest {
+                    model,
+                    spec: narrow,
+                },
+                TrainedRegressor::Knn { model, .. } => TrainedRegressor::Knn {
                     model,
                     spec: narrow,
                 },
@@ -857,6 +867,10 @@ mod tests {
                     spec: narrow,
                 },
                 TrainedClassifier::RfNative { model, .. } => TrainedClassifier::RfNative {
+                    model,
+                    spec: narrow,
+                },
+                TrainedClassifier::KnnNative { model, .. } => TrainedClassifier::KnnNative {
                     model,
                     spec: narrow,
                 },

@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::ops::ControlFlow;
+use std::sync::Mutex;
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,9 +145,14 @@ impl GbdtCheckpoint {
                 "checkpoint claims {rounds_done} rounds but stores {n_trees} trees"
             )));
         }
-        let mut trees = Vec::with_capacity(n_trees.min(r.remaining()));
+        let mut trees: Vec<RegressionTree> = Vec::with_capacity(n_trees.min(r.remaining()));
         for _ in 0..n_trees {
-            trees.push(RegressionTree::decode(r)?);
+            let tree = RegressionTree::decode(r)?;
+            // A checkpoint stores no model width; its trees must agree.
+            if let Some(first) = trees.first() {
+                check_width(tree.n_features(), first.n_features())?;
+            }
+            trees.push(tree);
         }
         Ok(GbdtCheckpoint {
             cfg,
@@ -155,6 +161,12 @@ impl GbdtCheckpoint {
             base,
             trees,
         })
+    }
+
+    /// Number of features its trees were fitted on (`None` before the
+    /// first round). Resuming needs rows of exactly this width.
+    pub fn n_features(&self) -> Option<usize> {
+        self.trees.first().map(RegressionTree::n_features)
     }
 }
 
@@ -186,8 +198,9 @@ impl GbdtRegressor {
     /// float association the live loop uses — *not* `predict_row`, whose
     /// sum groups differently and would drift by an ULP).
     ///
-    /// Panics if the checkpoint disagrees with `cfg` or the data size —
-    /// resuming against different inputs would silently diverge.
+    /// Panics if the checkpoint disagrees with `cfg`, the data size or the
+    /// row width — resuming against different inputs would silently
+    /// diverge, or index past the end of a row.
     pub fn fit_resumable(
         xs: &[Vec<f64>],
         ys: &[f64],
@@ -288,6 +301,14 @@ impl GbdtRegressor {
                     base.to_bits(),
                     "checkpoint base mismatch on resume"
                 );
+                if let Some(width) = ck.n_features() {
+                    assert_eq!(
+                        width,
+                        xs[0].len(),
+                        "checkpoint trees are {width} features wide but the rows are {}",
+                        xs[0].len()
+                    );
+                }
                 // Fast-forward the RNG and the prediction accumulator
                 // through the completed rounds.
                 for tree in &ck.trees {
@@ -420,15 +441,26 @@ pub struct GbdtClassifier {
     n_features: usize,
 }
 
-fn softmax(scores: &[f64]) -> Vec<f64> {
-    let m = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|s| (s - m).exp()).collect();
-    let z: f64 = exps.iter().sum();
-    exps.iter().map(|e| e / z).collect()
+/// Overwrite class scores with their softmax probabilities.
+fn softmax(p: &mut [f64]) {
+    let m = p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for v in p.iter_mut() {
+        *v = (*v - m).exp();
+    }
+    let z: f64 = p.iter().sum();
+    for v in p.iter_mut() {
+        *v /= z;
+    }
 }
 
 impl GbdtClassifier {
     /// Fit on labels in `0..n_classes`.
+    ///
+    /// A round's class trees read only that round's probabilities and draw
+    /// no RNG, so they grow concurrently on up to
+    /// `min(available_parallelism(), n_classes)` threads; each writes only
+    /// its own class's scores, and the model is bit-identical for any
+    /// thread count.
     pub fn fit(xs: &[Vec<f64>], ys: &[usize], n_classes: usize, cfg: &GbdtConfig) -> Self {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         assert!(!xs.is_empty(), "cannot fit GBDT on empty data");
@@ -445,34 +477,75 @@ impl GbdtClassifier {
             .map(|c| ((c + 1.0) / (n as f64 + n_classes as f64)).ln())
             .collect();
 
-        let mut scores: Vec<Vec<f64>> = (0..n).map(|_| priors.clone()).collect();
+        // Class-major, `scores[k][i]`: each class tree writes only its own.
+        let mut scores: Vec<Vec<f64>> = priors.iter().map(|&p| vec![p; n]).collect();
         let tree_cfg = cfg.tree_config();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut all_trees = Vec::with_capacity(cfg.n_estimators);
 
         // One ranking per fit and one subsample order per round, shared by
-        // the round's class trees; gradients are indexed by row id.
+        // the round's class trees; gradients are indexed by row id, one
+        // pair of buffers per worker for the whole fit.
         let cols = RankedColumns::new(xs);
-        let mut g = vec![0.0; n];
-        let mut h = vec![0.0; n];
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |w| w.get())
+            .min(n_classes);
+        let mut grads: Vec<(Vec<f64>, Vec<f64>)> =
+            (0..workers).map(|_| (vec![0.0; n], vec![0.0; n])).collect();
+        let mut probs = Vec::new();
         for _ in 0..cfg.n_estimators {
             let rows = subsample_idx(n, cfg.subsample, &mut rng);
             let orders = cols.orders(&rows);
-            let probs: Vec<Vec<f64>> = rows.iter().map(|&i| softmax(&scores[i])).collect();
-            let mut round = Vec::with_capacity(n_classes);
-            for k in 0..n_classes {
-                for (&i, p) in rows.iter().zip(&probs) {
+            probs.clear();
+            for &i in &rows {
+                let start = probs.len();
+                probs.extend(scores.iter().map(|s| s[i]));
+                softmax(&mut probs[start..]);
+            }
+            let mut trees: Vec<Option<RegressionTree>> = vec![None; n_classes];
+            // Workers claim classes one at a time; each claim hands out that
+            // class's scores and tree slot, so no two workers share memory.
+            let classes = Mutex::new(scores.iter_mut().zip(&mut trees).enumerate());
+            let work = |(g, h): &mut (Vec<f64>, Vec<f64>)| loop {
+                let claimed = classes.lock().expect("class counter poisoned").next();
+                let Some((k, (score, slot))) = claimed else {
+                    break;
+                };
+                for (&i, p) in rows.iter().zip(probs.chunks_exact(n_classes)) {
                     g[i] = p[k] - if ys[i] == k { 1.0 } else { 0.0 };
                     h[i] = (p[k] * (1.0 - p[k])).max(1e-6);
                 }
                 let tree =
-                    RegressionTree::fit_ranked(&cols, &mut orders.clone(), &g, &h, &tree_cfg, None);
-                for i in 0..n {
-                    scores[i][k] += cfg.learning_rate * tree.predict_row(&xs[i]);
+                    RegressionTree::fit_ranked(&cols, &mut orders.clone(), g, h, &tree_cfg, None);
+                for (s, x) in score.iter_mut().zip(xs) {
+                    *s += cfg.learning_rate * tree.predict_row(x);
                 }
-                round.push(tree);
-            }
-            all_trees.push(round);
+                *slot = Some(tree);
+            };
+            let work = &work;
+            let (own, others) = grads.split_first_mut().expect("at least one worker");
+            std::thread::scope(|s| {
+                let spawned: Vec<_> = others
+                    .iter_mut()
+                    .map(|buf| s.spawn(move || work(buf)))
+                    .collect();
+                work(own);
+                // Join each thread itself: the scope's own wait returns
+                // before the threads exit, and glibc gives a thread started
+                // while another is still exiting a fresh malloc arena, whose
+                // freed memory then stays resident.
+                for worker in spawned {
+                    worker
+                        .join()
+                        .unwrap_or_else(|e| std::panic::resume_unwind(e));
+                }
+            });
+            all_trees.push(
+                trees
+                    .into_iter()
+                    .map(|t| t.expect("every class grown"))
+                    .collect(),
+            );
         }
         GbdtClassifier {
             trees: all_trees,
@@ -496,7 +569,9 @@ impl GbdtClassifier {
 
     /// Class probabilities for one row.
     pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        softmax(&self.scores_row(row))
+        let mut p = self.scores_row(row);
+        softmax(&mut p);
+        p
     }
 
     /// Predicted class for one row.
@@ -800,7 +875,9 @@ mod tests {
         for _ in 0..cfg.n_estimators {
             let rows = subsample_idx(n, cfg.subsample, &mut rng);
             let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
-            let probs: Vec<Vec<f64>> = rows.iter().map(|&i| softmax(&scores[i])).collect();
+            let mut probs = scores.clone();
+            probs.iter_mut().for_each(|p| softmax(p));
+            let probs: Vec<&Vec<f64>> = rows.iter().map(|&i| &probs[i]).collect();
             let mut round = Vec::new();
             for k in 0..n_classes {
                 let g: Vec<f64> = rows
@@ -831,6 +908,7 @@ mod tests {
 
     #[test]
     fn rank_sorted_boosting_equals_the_reference_bit_for_bit() {
+        let mut rare_left_out = false;
         for seed in 0..12u64 {
             let (xs, ys) = reference::tie_heavy_data(seed, 60 + 37 * seed as usize);
             let labels: Vec<usize> = ys
@@ -870,12 +948,56 @@ mod tests {
                 encoded(&reference_regressor(&xs[..cut], &ys[..cut], &prefix)),
                 "early stopping, {cfg:?}"
             );
-            let mut got = ByteWriter::new();
-            GbdtClassifier::fit(&xs, &labels, 3, &cfg).encode(&mut got);
-            let mut want = ByteWriter::new();
-            reference_classifier(&xs, &labels, 3, &cfg).encode(&mut want);
-            assert_eq!(got.into_bytes(), want.into_bytes(), "classifier, {cfg:?}");
+            // Fewer classes than cores, as many, and more: the class trees
+            // grow concurrently but must land in class order.
+            for n_classes in 2..=5 {
+                let labels = if n_classes == 3 {
+                    labels.clone()
+                } else {
+                    quantile_labels(&ys, n_classes)
+                };
+                assert_classifier_matches_reference(&xs, &labels, n_classes, &cfg);
+            }
+            // One row alone in the last class: a round that leaves it out
+            // fits that class's tree on an all-negative subsample.
+            let rare = seed as usize % xs.len();
+            let mut labels = quantile_labels(&ys, 3);
+            labels[rare] = 3;
+            assert_classifier_matches_reference(&xs, &labels, 4, &cfg);
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            rare_left_out |= (0..cfg.n_estimators)
+                .any(|_| !subsample_idx(xs.len(), cfg.subsample, &mut rng).contains(&rare));
         }
+        assert!(rare_left_out, "no round left the rare class out");
+    }
+
+    /// Labels in `0..n_classes` cut at equal-count quantiles of `ys`.
+    fn quantile_labels(ys: &[f64], n_classes: usize) -> Vec<usize> {
+        let mut sorted = ys.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let cuts: Vec<f64> = (1..n_classes)
+            .map(|c| sorted[c * sorted.len() / n_classes])
+            .collect();
+        ys.iter()
+            .map(|&y| cuts.iter().filter(|&&c| y >= c).count())
+            .collect()
+    }
+
+    fn assert_classifier_matches_reference(
+        xs: &[Vec<f64>],
+        labels: &[usize],
+        n_classes: usize,
+        cfg: &GbdtConfig,
+    ) {
+        let mut got = ByteWriter::new();
+        GbdtClassifier::fit(xs, labels, n_classes, cfg).encode(&mut got);
+        let mut want = ByteWriter::new();
+        reference_classifier(xs, labels, n_classes, cfg).encode(&mut want);
+        assert_eq!(
+            got.into_bytes(),
+            want.into_bytes(),
+            "{n_classes}-class classifier, {cfg:?}"
+        );
     }
 
     #[test]
@@ -1004,6 +1126,48 @@ mod tests {
         let bytes = w.into_bytes();
         let got = GbdtClassifier::decode(&mut ByteReader::new(&bytes));
         assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
+    }
+
+    fn wide_tree() -> RegressionTree {
+        let mut w = ByteWriter::new();
+        put_wide_tree(&mut w);
+        RegressionTree::decode(&mut ByteReader::new(&w.into_bytes())).unwrap()
+    }
+
+    /// A checkpoint of the first round over `wavy_data`'s 2-wide rows.
+    fn first_round_checkpoint() -> (Vec<Vec<f64>>, Vec<f64>, GbdtCheckpoint) {
+        let (xs, ys) = wavy_data();
+        let cfg = GbdtConfig {
+            n_estimators: 3,
+            ..quick_cfg()
+        };
+        let mut saved = None;
+        let _ = GbdtRegressor::fit_resumable(&xs, &ys, &cfg, None, 1, |ck| {
+            saved.get_or_insert_with(|| ck.clone());
+        });
+        (xs, ys, saved.expect("a checkpoint after round 1"))
+    }
+
+    #[test]
+    fn checkpoint_decode_rejects_trees_of_different_widths() {
+        let (_, _, mut ck) = first_round_checkpoint();
+        assert_eq!(ck.n_features(), Some(2));
+        ck.trees.push(wide_tree());
+        ck.rounds_done = 2;
+        let mut w = ByteWriter::new();
+        ck.encode(&mut w);
+        let bytes = w.into_bytes();
+        let got = GbdtCheckpoint::decode(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint trees are 5 features wide but the rows are 2")]
+    fn resume_refuses_a_checkpoint_wider_than_the_rows() {
+        let (xs, ys, mut ck) = first_round_checkpoint();
+        ck.trees = vec![wide_tree()];
+        let cfg = ck.cfg;
+        let _ = GbdtRegressor::fit_resumable(&xs, &ys, &cfg, Some(ck), 0, |_| {});
     }
 
     #[test]

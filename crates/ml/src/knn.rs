@@ -91,6 +91,19 @@ fn decode_points(r: &mut ByteReader<'_>) -> Result<Vec<Vec<f64>>, CodecError> {
         .collect()
 }
 
+/// The scaler and the indexed points must be as wide as each other: a
+/// query is scaled to the scaler's width and compared against the points.
+fn check_widths(scaler: &StandardScaler, points: &[Vec<f64>]) -> Result<(), CodecError> {
+    if scaler.means.len() == points[0].len() {
+        return Ok(());
+    }
+    Err(CodecError::Invalid(format!(
+        "KNN scaler over {} features, points over {}",
+        scaler.means.len(),
+        points[0].len()
+    )))
+}
+
 /// KNN regressor (mean of neighbour targets).
 #[derive(Debug, Clone)]
 pub struct KnnRegressor {
@@ -127,6 +140,11 @@ impl KnnRegressor {
         xs.iter().map(|r| self.predict_row(r)).collect()
     }
 
+    /// Number of features the model was fitted on.
+    pub fn n_features(&self) -> usize {
+        self.scaler.means.len()
+    }
+
     /// Serialize: k, scaler, targets, then the scaled training points. The
     /// spatial index is not written — it is rebuilt on decode, which is
     /// deterministic, so a loaded model predicts bit-identically.
@@ -150,6 +168,7 @@ impl KnnRegressor {
                 points.len()
             )));
         }
+        check_widths(&scaler, &points)?;
         Ok(KnnRegressor {
             k,
             index: Index::build(points),
@@ -207,6 +226,11 @@ impl KnnClassifier {
         xs.iter().map(|r| self.predict_row(r)).collect()
     }
 
+    /// Number of features the model was fitted on.
+    pub fn n_features(&self) -> usize {
+        self.scaler.means.len()
+    }
+
     /// Serialize: k, class count, scaler, labels, scaled training points.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_len(self.k);
@@ -226,6 +250,7 @@ impl KnnClassifier {
         if k == 0 || ys.len() != points.len() || ys.iter().any(|&y| y >= n_classes) {
             return Err(CodecError::Invalid("inconsistent KNN classifier".into()));
         }
+        check_widths(&scaler, &points)?;
         Ok(KnnClassifier {
             k,
             n_classes,
@@ -239,6 +264,24 @@ impl KnnClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decode_rejects_a_scaler_wider_than_the_points() {
+        // A 3-feature scaler over 2-wide points: a scaled query would not
+        // line up with the points it is compared against.
+        let mut w = ByteWriter::new();
+        w.put_len(1); // k
+        w.put_f64s(&[0.0; 3]); // means
+        w.put_f64s(&[1.0; 3]); // stds
+        w.put_f64s(&[5.0]); // targets
+        w.put_len(2); // point dim
+        w.put_len(1); // points
+        w.put_f64(0.0);
+        w.put_f64(0.0);
+        let bytes = w.into_bytes();
+        let got = KnnRegressor::decode(&mut ByteReader::new(&bytes));
+        assert!(matches!(got, Err(CodecError::Invalid(_))), "{got:?}");
+    }
 
     #[test]
     fn regressor_k1_memorizes_training_points() {
