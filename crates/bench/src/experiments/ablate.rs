@@ -239,9 +239,11 @@ pub fn seq2seq_history(ctx: &mut Context) -> String {
     for input_len in [5usize, 10, 20] {
         let mut p = ctx.scale.seq2seq();
         p.input_len = input_len;
-        let out = regression_eval(&data, FeatureSet::LM, &ModelKind::Seq2Seq(p), 1);
+        // The key of Tables 7/8's Airport column: the std input length
+        // reuses that cell's fit.
+        let out = ctx.eval_cached("Airport", &data, FeatureSet::LM, &ModelKind::Seq2Seq(p));
         match out {
-            Ok(o) => t.row(&[
+            Ok((o, _)) => t.row(&[
                 format!("{input_len}"),
                 format!("{:.0}", o.mae),
                 format!("{:.0}", o.rmse),

@@ -1,10 +1,11 @@
 //! Shared experiment context: lazily simulates and caches the per-area
 //! datasets so that running `repro all` builds each campaign exactly once.
 
-use lumos5g::eval::{eval_both, ClassificationOutcome, RegressionOutcome};
+use lumos5g::eval::{eval_both, seq2seq_eval, ClassificationOutcome, RegressionOutcome};
 use lumos5g::features::{FeatureSet, FeatureSpec};
 use lumos5g::persist::{self, TrainingCheckpoint};
 use lumos5g::predictor::{ModelKind, Seq2SeqParams, TrainedRegressor};
+use lumos5g::tabular::SequenceData;
 use lumos5g_ml::{GbdtConfig, GbdtRegressor, Seq2Seq};
 use lumos5g_sim::{
     airport, intersection, loop_area, quality, run_campaign, Area, CampaignConfig, Dataset,
@@ -160,13 +161,47 @@ impl CheckpointPlan {
         }
     }
 
-    /// Create the checkpoint directory when checkpoints will be written;
-    /// panics, naming it, when it cannot be created.
-    fn create_dir(&self) {
-        if self.every > 0 {
-            if let Err(e) = std::fs::create_dir_all(&self.dir) {
-                panic!("cannot create {}: {e}", self.dir.display());
+    /// When resuming, the state `pick` accepts from `key`'s checkpoint
+    /// (returned with the rounds/epochs it completed); a missing file, a
+    /// checkpoint of another family or of another run trains from scratch.
+    fn resume_point<T>(
+        &self,
+        key: &str,
+        pick: impl FnOnce(TrainingCheckpoint) -> Option<(T, usize)>,
+    ) -> Option<T> {
+        if !self.resume {
+            return None;
+        }
+        let path = self.dir.join(format!("{key}.ckpt.l5gm"));
+        match persist::load_checkpoint(&path).map(pick) {
+            Ok(Some((state, done))) => {
+                eprintln!("    resuming {key} from {} ({done} done)", path.display());
+                Some(state)
             }
+            Ok(None) => {
+                eprintln!(
+                    "    checkpoint {} is for a different run; training from scratch",
+                    path.display()
+                );
+                None
+            }
+            Err(e) => {
+                eprintln!(
+                    "    no resumable checkpoint at {}: {e}; training from scratch",
+                    path.display()
+                );
+                None
+            }
+        }
+    }
+
+    /// Write `ckpt` atomically as `key`'s checkpoint after `done`
+    /// rounds/epochs; panics, naming the path, when it cannot.
+    fn save(&self, key: &str, ckpt: &TrainingCheckpoint, done: usize) {
+        let path = self.dir.join(format!("{key}.ckpt.l5gm"));
+        match persist::save_checkpoint(ckpt, &path) {
+            Ok(()) => self.note_write(key, done),
+            Err(e) => panic!("cannot checkpoint {}: {e}", path.display()),
         }
     }
 
@@ -273,126 +308,63 @@ impl Context {
         let Some(plan) = &self.checkpoints else {
             return GbdtRegressor::fit(xs, ys, cfg);
         };
-        let path = plan.dir.join(format!("{key}.ckpt.l5gm"));
-        let resume = if plan.resume {
-            match persist::load_checkpoint(&path) {
-                Ok(TrainingCheckpoint::Gdbt(ck))
-                    if ck.cfg == *cfg
-                        && ck.n_rows == xs.len()
-                        && ck.n_features().is_none_or(|w| w == xs[0].len()) =>
-                {
-                    eprintln!(
-                        "    resuming {key} from {} ({} rounds done)",
-                        path.display(),
-                        ck.rounds_done
-                    );
-                    Some(ck)
-                }
-                Ok(TrainingCheckpoint::Gdbt(_)) => {
-                    eprintln!(
-                        "    checkpoint {} is for a different run; training from scratch",
-                        path.display()
-                    );
-                    None
-                }
-                Ok(_) => {
-                    eprintln!(
-                        "    {} is not a GDBT checkpoint; training from scratch",
-                        path.display()
-                    );
-                    None
-                }
-                Err(e) => {
-                    eprintln!(
-                        "    no resumable checkpoint at {}: {e}; training from scratch",
-                        path.display()
-                    );
-                    None
-                }
+        let resume = plan.resume_point(key, |ckpt| match ckpt {
+            TrainingCheckpoint::Gdbt(ck)
+                if ck.cfg == *cfg
+                    && ck.n_rows == xs.len()
+                    && ck.n_features().is_none_or(|w| w == xs[0].len()) =>
+            {
+                let done = ck.rounds_done;
+                Some((ck, done))
             }
-        } else {
-            None
-        };
-        plan.create_dir();
+            _ => None,
+        });
         GbdtRegressor::fit_resumable(xs, ys, cfg, resume, plan.every, |ck| {
-            match persist::save_checkpoint(&TrainingCheckpoint::Gdbt(ck.clone()), &path) {
-                Ok(()) => plan.note_write(key, ck.rounds_done),
-                Err(e) => panic!("cannot checkpoint {}: {e}", path.display()),
-            }
+            plan.save(key, &TrainingCheckpoint::Gdbt(ck.clone()), ck.rounds_done)
         })
     }
 
-    /// Train a Seq2Seq model under the checkpoint plan (when one is
-    /// configured), mirroring `fit_gbdt`: epoch state — weights,
-    /// Adam moments, best-validation snapshot — checkpoints atomically to
-    /// `{key}.ckpt.l5gm` every `every` epochs, and `resume` restores it.
-    /// Returns the per-epoch training losses.
+    /// The [`lumos5g::predictor::fit_seq2seq`] trainer under the checkpoint
+    /// plan (when one is configured), mirroring `fit_gbdt`: epoch state —
+    /// weights, Adam moments, best-validation snapshot — checkpoints
+    /// atomically to `{key}.ckpt.l5gm` every `every` epochs, and `resume`
+    /// restores it. Early stopping follows `p`.
     pub fn train_seq2seq(
         &self,
         key: &str,
         model: &mut Seq2Seq,
-        inputs: &[Vec<Vec<f64>>],
-        targets: &[Vec<f64>],
-        val_fraction: f64,
-        patience: usize,
-    ) -> Vec<f64> {
-        let Some(plan) = &self.checkpoints else {
-            return model.train_resumable(inputs, targets, val_fraction, patience, None, 0, |_| {});
-        };
-        let path = plan.dir.join(format!("{key}.ckpt.l5gm"));
-        let resume = if plan.resume {
-            match persist::load_checkpoint(&path) {
-                Ok(TrainingCheckpoint::Seq2Seq(st))
-                    if st.resumes(model, inputs.len(), val_fraction, patience) =>
+        train: &SequenceData,
+        p: &Seq2SeqParams,
+    ) {
+        let plan = self.checkpoints.as_ref();
+        let resume = plan.and_then(|plan| {
+            plan.resume_point(key, |ckpt| match ckpt {
+                TrainingCheckpoint::Seq2Seq(st)
+                    if st.resumes(model, train.len(), p.val_fraction, p.patience) =>
                 {
-                    eprintln!(
-                        "    resuming {key} from {} ({} epochs done)",
-                        path.display(),
-                        st.epochs_done()
-                    );
-                    Some(*st)
+                    let done = st.epochs_done();
+                    Some((*st, done))
                 }
-                Ok(TrainingCheckpoint::Seq2Seq(_)) => {
-                    eprintln!(
-                        "    checkpoint {} is for a different run; training from scratch",
-                        path.display()
-                    );
-                    None
-                }
-                Ok(_) => {
-                    eprintln!(
-                        "    {} is not a Seq2Seq checkpoint; training from scratch",
-                        path.display()
-                    );
-                    None
-                }
-                Err(e) => {
-                    eprintln!(
-                        "    no resumable checkpoint at {}: {e}; training from scratch",
-                        path.display()
-                    );
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        plan.create_dir();
-        model.train_resumable(
-            inputs,
-            targets,
-            val_fraction,
-            patience,
-            resume,
-            plan.every,
-            |st| match persist::save_checkpoint(
-                &TrainingCheckpoint::Seq2Seq(Box::new(st.clone())),
-                &path,
-            ) {
-                Ok(()) => plan.note_write(key, st.epochs_done()),
-                Err(e) => panic!("cannot checkpoint {}: {e}", path.display()),
-            },
-        )
+                _ => None,
+            })
+        });
+        let epochs = model
+            .train_resumable(
+                &train.inputs,
+                &train.targets,
+                p.val_fraction,
+                p.patience,
+                resume,
+                plan.map_or(0, |plan| plan.every),
+                |st| {
+                    if let Some(plan) = plan {
+                        let ckpt = TrainingCheckpoint::Seq2Seq(Box::new(st.clone()));
+                        plan.save(key, &ckpt, st.epochs_done());
+                    }
+                },
+            )
+            .len();
+        eprintln!("    trained {key}: {epochs} epochs");
     }
 
     /// Run (or fetch from cache) the regression + classification evaluation
@@ -418,7 +390,20 @@ impl Context {
         if let Some(hit) = self.eval_cache.get(&key) {
             return hit.clone();
         }
-        let out = eval_both(data, set, model, 1);
+        let out = match model {
+            // Seq2Seq cells train through the checkpoint plan, keyed by a
+            // filename-safe form of the cache key.
+            ModelKind::Seq2Seq(p) => {
+                let ckpt_key: String = key
+                    .chars()
+                    .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+                    .collect();
+                seq2seq_eval(data, set, p, 1, |m, train, p| {
+                    self.train_seq2seq(&ckpt_key, m, train, p)
+                })
+            }
+            _ => eval_both(data, set, model, 1),
+        };
         self.eval_cache.insert(key, out.clone());
         out
     }

@@ -724,3 +724,26 @@ pub fn fig21(ctx: &mut Context) -> String {
         quad / solo
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::context::Scale;
+
+    #[test]
+    fn cell_grouped_statistics_are_bit_identical_across_calls() {
+        // Table 5 stride-subsamples pairs, Fig 7 keeps the first 150 cells
+        // and Figs 17/19/20 sum in group order: two groupings of the same
+        // data must come out in the same order.
+        let data = Context::new(Scale::Quick, 1).airport_walk();
+        let run = || {
+            let plain = cell_groups(&data, 8);
+            let dir = cell_dir_groups(&data, 10);
+            let (t, l, n) = pairwise_fractions(&plain, 2_000);
+            let (mean_cv, _, _) = cv_stats(&dir);
+            let bits = [t.to_bits(), l.to_bits(), n as u64, mean_cv.to_bits()];
+            (plain, dir, bits)
+        };
+        assert_eq!(run(), run());
+    }
+}

@@ -5,11 +5,11 @@ use super::context::Context;
 use super::save_result;
 use crate::table::TableWriter;
 use lumos5g::features::FeatureSpec;
+use lumos5g::predictor::fit_seq2seq;
 use lumos5g::prelude::*;
 use lumos5g::tabular::build_tabular;
 use lumos5g::transfer::panel_transfer;
-use lumos5g_ml::dataset::TargetScaler;
-use lumos5g_ml::{train_test_split, Seq2Seq, Seq2SeqConfig, StandardScaler};
+use lumos5g_ml::train_test_split;
 use lumos5g_sim::Dataset;
 use std::fmt::Write as _;
 
@@ -592,57 +592,18 @@ pub fn horizon(ctx: &mut Context) -> String {
         return "horizon: not enough sequences".into();
     }
     let (tr, te) = train_test_split(sd.len(), 0.7, 1);
-    let train = sd.select(&tr);
     let test = sd.select(&te);
-
-    let flat: Vec<Vec<f64>> = train.inputs.iter().flatten().cloned().collect();
-    let xs = StandardScaler::fit(&flat);
-    let ally: Vec<f64> = train.targets.iter().flatten().copied().collect();
-    let ys = TargetScaler::fit(&ally);
-    let tin: Vec<Vec<Vec<f64>>> = train
-        .inputs
-        .iter()
-        .map(|s| s.iter().map(|x| xs.transform_row(x)).collect())
-        .collect();
-    let ttg: Vec<Vec<f64>> = train
-        .targets
-        .iter()
-        .map(|t| t.iter().map(|&y| ys.transform(y)).collect())
-        .collect();
-    let mut model = Seq2Seq::new(Seq2SeqConfig {
-        input_dim: spec.dim(),
-        hidden: p.hidden,
-        layers: p.layers,
-        horizon: p.horizon,
-        epochs: p.epochs,
-        batch_size: p.batch_size,
-        lr: p.lr,
-        teacher_forcing: 0.7,
-        clip_norm: 5.0,
-        seed: p.seed,
+    let model = fit_seq2seq(&sd.select(&tr), &spec, &p, |m, train, p| {
+        ctx.train_seq2seq("horizon_s2s", m, train, p)
     });
-    ctx.train_seq2seq(
-        "horizon_s2s",
-        &mut model,
-        &tin,
-        &ttg,
-        p.val_fraction,
-        p.patience,
-    );
-
-    let scaled: Vec<Vec<Vec<f64>>> = test
-        .inputs
-        .iter()
-        .map(|s| s.iter().map(|x| xs.transform_row(x)).collect())
-        .collect();
-    let refs: Vec<&[Vec<f64>]> = scaled.iter().map(Vec::as_slice).collect();
+    let refs: Vec<&[Vec<f64>]> = test.inputs.iter().map(Vec::as_slice).collect();
     let horizons = model
-        .predict_batch(&refs)
+        .predict_sequence_batch(&refs)
         .expect("build_sequences emits non-empty histories");
     let mut abs_err = vec![0.0f64; p.horizon];
     for (target, out) in test.targets.iter().zip(&horizons) {
         for (k, (&t, &o)) in target.iter().zip(out).enumerate() {
-            abs_err[k] += (t - ys.inverse(o)).abs();
+            abs_err[k] += (t - o).abs();
         }
     }
     let n = horizons.len();

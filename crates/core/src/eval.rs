@@ -4,13 +4,11 @@
 
 use crate::classes::ThroughputClass;
 use crate::features::{FeatureSet, FeatureSpec};
-use crate::predictor::{ModelKind, Seq2SeqParams};
-use crate::tabular::{build_sequences, build_tabular};
-use lumos5g_ml::dataset::TargetScaler;
+use crate::predictor::{fit_seq2seq, train_in_memory, ModelKind, Seq2SeqParams, TrainedRegressor};
+use crate::tabular::{build_sequences, build_tabular, SequenceData, TabularData};
 use lumos5g_ml::{
-    train_test_split, ClassificationReport, GbdtClassifier, GbdtRegressor, HarmonicMeanPredictor,
-    KnnClassifier, KnnRegressor, OrdinaryKriging, RandomForestClassifier, RandomForestRegressor,
-    Seq2Seq, Seq2SeqConfig, StandardScaler,
+    train_test_split, ClassificationReport, GbdtClassifier, GbdtRegressor, KnnClassifier,
+    KnnRegressor, OrdinaryKriging, RandomForestClassifier, RandomForestRegressor, Seq2Seq,
 };
 use lumos5g_sim::Dataset;
 
@@ -61,18 +59,36 @@ fn reg_metrics(truth: &[f64], pred: &[f64]) -> RegressionOutcome {
 
 /// Training-cost cap for tabular models: beyond ~20k rows the simulated
 /// areas' learning curves are flat, while tree training cost grows
-/// linearly. The cap subsamples the *training* split evenly; the test
-/// split is never reduced.
+/// linearly. The test split is never reduced.
 const MAX_TRAIN_TABULAR: usize = 20_000;
 
-fn cap_train(tr: Vec<usize>) -> Vec<usize> {
-    if tr.len() <= MAX_TRAIN_TABULAR {
+/// Training-cost cap for Seq2Seq: beyond ~5k sequences additional data
+/// improves the holdout metric marginally but costs linearly.
+const MAX_TRAIN_SEQ: usize = 5_000;
+
+/// Subsample a training split evenly down to at most `cap` indices.
+fn even_subsample(tr: Vec<usize>, cap: usize) -> Vec<usize> {
+    if tr.len() <= cap {
         return tr;
     }
-    let step = tr.len() as f64 / MAX_TRAIN_TABULAR as f64;
-    (0..MAX_TRAIN_TABULAR)
-        .map(|k| tr[(k as f64 * step) as usize])
-        .collect()
+    let step = tr.len() as f64 / cap as f64;
+    (0..cap).map(|k| tr[(k as f64 * step) as usize]).collect()
+}
+
+/// Bucket throughputs (Mbps) into [`ThroughputClass`] indices — how the
+/// regression-only families classify (§6.1).
+fn classes(ys: &[f64]) -> Vec<usize> {
+    ys.iter().map(|&y| ThroughputClass::of(y).index()).collect()
+}
+
+/// Harmonic-mean baseline over every trace: no training, so nothing is
+/// held out.
+fn harmonic_eval(data: &Dataset, window: usize) -> Result<(Vec<f64>, Vec<f64>), String> {
+    let (truth, pred) = TrainedRegressor::Harmonic { window }.eval(data);
+    if truth.is_empty() {
+        return Err("no traces to evaluate".into());
+    }
+    Ok((truth, pred))
 }
 
 fn clf_metrics(truth: &[usize], pred: &[usize]) -> ClassificationOutcome {
@@ -85,6 +101,32 @@ fn clf_metrics(truth: &[usize], pred: &[usize]) -> ClassificationOutcome {
     }
 }
 
+/// The 70/30 tabular split of `data` under `spec` (training rows capped).
+fn tabular_split(
+    data: &Dataset,
+    spec: &FeatureSpec,
+    split_seed: u64,
+) -> Result<(TabularData, TabularData), String> {
+    let td = build_tabular(data, spec);
+    if td.len() < 20 {
+        return Err(format!("too few samples: {}", td.len()));
+    }
+    let (tr, te) = train_test_split(td.len(), 0.7, split_seed);
+    Ok((
+        td.select(&even_subsample(tr, MAX_TRAIN_TABULAR)),
+        td.select(&te),
+    ))
+}
+
+/// Ordinary Kriging predictions at the test positions.
+fn kriging(train: &TabularData, test: &TabularData, neighbors: usize) -> Vec<f64> {
+    let ok = OrdinaryKriging::fit(&train.positions, &train.ys, neighbors);
+    test.positions
+        .iter()
+        .map(|p| ok.predict(p[0], p[1]))
+        .collect()
+}
+
 /// Train/test a regression model under a 70/30 split (paper §6.1).
 pub fn regression_eval(
     data: &Dataset,
@@ -92,35 +134,16 @@ pub fn regression_eval(
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<RegressionOutcome, String> {
-    let spec = FeatureSpec::new(set);
     match model {
         ModelKind::Seq2Seq(p) => {
-            let (truth, pred) = seq2seq_holdout(data, &spec, p, split_seed)?;
-            Ok(reg_metrics(&truth, &pred))
+            seq2seq_eval(data, set, p, split_seed, train_in_memory).map(|(r, _)| r)
         }
         ModelKind::HarmonicMean { window } => {
-            // History-only model: no training; evaluate over every trace.
-            let mut truth = Vec::new();
-            let mut pred = Vec::new();
-            for (_, trace) in data.traces() {
-                for (t, p) in HarmonicMeanPredictor::eval_trace(&trace, *window) {
-                    truth.push(t);
-                    pred.push(p);
-                }
-            }
-            if truth.is_empty() {
-                return Err("no traces to evaluate".into());
-            }
+            let (truth, pred) = harmonic_eval(data, *window)?;
             Ok(reg_metrics(&truth, &pred))
         }
         _ => {
-            let td = build_tabular(data, &spec);
-            if td.len() < 20 {
-                return Err(format!("too few samples: {}", td.len()));
-            }
-            let (tr, te) = train_test_split(td.len(), 0.7, split_seed);
-            let train = td.select(&cap_train(tr));
-            let test = td.select(&te);
+            let (train, test) = tabular_split(data, &FeatureSpec::new(set), split_seed)?;
             let pred = match model {
                 ModelKind::Gdbt(cfg) => {
                     GbdtRegressor::fit(&train.xs, &train.ys, cfg).predict(&test.xs)
@@ -131,13 +154,7 @@ pub fn regression_eval(
                 ModelKind::RandomForest(cfg) => {
                     RandomForestRegressor::fit(&train.xs, &train.ys, cfg).predict(&test.xs)
                 }
-                ModelKind::Kriging { neighbors } => {
-                    let ok = OrdinaryKriging::fit(&train.positions, &train.ys, *neighbors);
-                    test.positions
-                        .iter()
-                        .map(|p| ok.predict(p[0], p[1]))
-                        .collect()
-                }
+                ModelKind::Kriging { neighbors } => kriging(&train, &test, *neighbors),
                 _ => unreachable!("handled above"),
             };
             Ok(reg_metrics(&test.ys, &pred))
@@ -152,59 +169,16 @@ pub fn classification_eval(
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<ClassificationOutcome, String> {
-    let spec = FeatureSpec::new(set);
     match model {
         ModelKind::Seq2Seq(p) => {
-            let (truth, pred) = seq2seq_holdout(data, &spec, p, split_seed)?;
-            let t: Vec<usize> = truth
-                .iter()
-                .map(|&y| ThroughputClass::of(y).index())
-                .collect();
-            let q: Vec<usize> = pred
-                .iter()
-                .map(|&y| ThroughputClass::of(y).index())
-                .collect();
-            Ok(clf_metrics(&t, &q))
+            seq2seq_eval(data, set, p, split_seed, train_in_memory).map(|(_, c)| c)
         }
         ModelKind::HarmonicMean { window } => {
-            let mut t = Vec::new();
-            let mut q = Vec::new();
-            for (_, trace) in data.traces() {
-                for (tv, pv) in HarmonicMeanPredictor::eval_trace(&trace, *window) {
-                    t.push(ThroughputClass::of(tv).index());
-                    q.push(ThroughputClass::of(pv).index());
-                }
-            }
-            if t.is_empty() {
-                return Err("no traces to evaluate".into());
-            }
-            Ok(clf_metrics(&t, &q))
-        }
-        ModelKind::Kriging { neighbors } => {
-            // Regression + bucketing (OK has no native classifier).
-            let td = build_tabular(data, &spec);
-            if td.len() < 20 {
-                return Err(format!("too few samples: {}", td.len()));
-            }
-            let (tr, te) = train_test_split(td.len(), 0.7, split_seed);
-            let train = td.select(&cap_train(tr));
-            let test = td.select(&te);
-            let ok = OrdinaryKriging::fit(&train.positions, &train.ys, *neighbors);
-            let pred: Vec<usize> = test
-                .positions
-                .iter()
-                .map(|p| ThroughputClass::of(ok.predict(p[0], p[1])).index())
-                .collect();
-            Ok(clf_metrics(&test.labels, &pred))
+            let (truth, pred) = harmonic_eval(data, *window)?;
+            Ok(clf_metrics(&classes(&truth), &classes(&pred)))
         }
         _ => {
-            let td = build_tabular(data, &spec);
-            if td.len() < 20 {
-                return Err(format!("too few samples: {}", td.len()));
-            }
-            let (tr, te) = train_test_split(td.len(), 0.7, split_seed);
-            let train = td.select(&cap_train(tr));
-            let test = td.select(&te);
+            let (train, test) = tabular_split(data, &FeatureSpec::new(set), split_seed)?;
             let pred = match model {
                 ModelKind::Gdbt(cfg) => {
                     GbdtClassifier::fit(&train.xs, &train.labels, ThroughputClass::COUNT, cfg)
@@ -221,6 +195,8 @@ pub fn classification_eval(
                     cfg,
                 )
                 .predict(&test.xs),
+                // Regression + bucketing (OK has no native classifier).
+                ModelKind::Kriging { neighbors } => classes(&kriging(&train, &test, *neighbors)),
                 _ => unreachable!("handled above"),
             };
             Ok(clf_metrics(&test.labels, &pred))
@@ -257,19 +233,7 @@ pub fn eval_both(
     split_seed: u64,
 ) -> Result<(RegressionOutcome, ClassificationOutcome), String> {
     match model {
-        ModelKind::Seq2Seq(p) => {
-            let spec = FeatureSpec::new(set);
-            let (truth, pred) = seq2seq_holdout(data, &spec, p, split_seed)?;
-            let t: Vec<usize> = truth
-                .iter()
-                .map(|&y| ThroughputClass::of(y).index())
-                .collect();
-            let q: Vec<usize> = pred
-                .iter()
-                .map(|&y| ThroughputClass::of(y).index())
-                .collect();
-            Ok((reg_metrics(&truth, &pred), clf_metrics(&t, &q)))
-        }
+        ModelKind::Seq2Seq(p) => seq2seq_eval(data, set, p, split_seed, train_in_memory),
         _ => {
             let (reg, clf) = std::thread::scope(|s| {
                 let clf = s.spawn(|| classification_eval(data, set, model, split_seed));
@@ -282,70 +246,29 @@ pub fn eval_both(
     }
 }
 
-/// Shared Seq2Seq pipeline: build sequences, split, train, evaluate
-/// next-slot predictions on the held-out 30%.
-fn seq2seq_holdout(
+/// Both metrics of a Seq2Seq cell from one fit: build sequences, split
+/// 70/30, train on the (capped) 70% through [`fit_seq2seq`] with `trainer`,
+/// and score next-slot predictions on the held-out 30%.
+pub fn seq2seq_eval(
     data: &Dataset,
-    spec: &FeatureSpec,
+    set: FeatureSet,
     p: &Seq2SeqParams,
     split_seed: u64,
-) -> Result<(Vec<f64>, Vec<f64>), String> {
-    let sd = build_sequences(data, spec, p.input_len, p.horizon, p.stride);
+    trainer: impl FnOnce(&mut Seq2Seq, &SequenceData, &Seq2SeqParams),
+) -> Result<(RegressionOutcome, ClassificationOutcome), String> {
+    let spec = FeatureSpec::new(set);
+    let sd = build_sequences(data, &spec, p.input_len, p.horizon, p.stride);
     if sd.len() < 20 {
         return Err(format!("too few sequences: {}", sd.len()));
     }
-    let (mut tr, te) = train_test_split(sd.len(), 0.7, split_seed);
-    // Training-cost cap: beyond ~5k sequences additional data improves the
-    // holdout metric marginally but costs linearly; subsample evenly.
-    const MAX_TRAIN_SEQ: usize = 5_000;
-    if tr.len() > MAX_TRAIN_SEQ {
-        let step = tr.len() as f64 / MAX_TRAIN_SEQ as f64;
-        tr = (0..MAX_TRAIN_SEQ)
-            .map(|k| tr[(k as f64 * step) as usize])
-            .collect();
-    }
-    let train = sd.select(&tr);
-    let test = sd.select(&te);
-
-    let flat: Vec<Vec<f64>> = train.inputs.iter().flatten().cloned().collect();
-    let x_scaler = StandardScaler::fit(&flat);
-    let all_y: Vec<f64> = train.targets.iter().flatten().copied().collect();
-    let y_scaler = TargetScaler::fit(&all_y);
-
-    let scale_in = |seqs: &[Vec<Vec<f64>>]| -> Vec<Vec<Vec<f64>>> {
-        seqs.iter()
-            .map(|s| s.iter().map(|x| x_scaler.transform_row(x)).collect())
-            .collect()
-    };
-    let train_in = scale_in(&train.inputs);
-    let train_tg: Vec<Vec<f64>> = train
-        .targets
-        .iter()
-        .map(|t| t.iter().map(|&y| y_scaler.transform(y)).collect())
-        .collect();
-
-    let mut model = Seq2Seq::new(Seq2SeqConfig {
-        input_dim: spec.dim(),
-        hidden: p.hidden,
-        layers: p.layers,
-        horizon: p.horizon,
-        epochs: p.epochs,
-        batch_size: p.batch_size,
-        lr: p.lr,
-        teacher_forcing: 0.7,
-        clip_norm: 5.0,
-        seed: p.seed,
-    });
-    model.train(&train_in, &train_tg);
-
-    let test_in = scale_in(&test.inputs);
-    let refs: Vec<&[Vec<f64>]> = test_in.iter().map(Vec::as_slice).collect();
-    let horizons = model
-        .predict_batch(&refs)
-        .expect("build_sequences emits non-empty histories");
-    let truth = test.targets.iter().map(|t| t[0]).collect();
-    let pred = horizons.iter().map(|h| y_scaler.inverse(h[0])).collect();
-    Ok((truth, pred))
+    let (tr, te) = train_test_split(sd.len(), 0.7, split_seed);
+    let train = sd.select(&even_subsample(tr, MAX_TRAIN_SEQ));
+    let model = fit_seq2seq(&train, &spec, p, trainer);
+    let (truth, pred) = model.eval_next_slot(&sd.select(&te));
+    Ok((
+        reg_metrics(&truth, &pred),
+        clf_metrics(&classes(&truth), &classes(&pred)),
+    ))
 }
 
 #[cfg(test)]
@@ -427,6 +350,17 @@ mod tests {
         let out = regression_eval(&d, FeatureSet::LM, &ModelKind::Seq2Seq(p), 1).unwrap();
         assert!(out.mae.is_finite());
         assert!(out.n_test > 0);
+    }
+
+    #[test]
+    fn seq2seq_cells_honour_early_stopping() {
+        let d = data();
+        let mut p = quick_seq2seq();
+        let plain = regression_eval(&d, FeatureSet::LM, &ModelKind::Seq2Seq(p), 1).unwrap();
+        p.val_fraction = 0.25;
+        p.patience = 1;
+        let stopped = regression_eval(&d, FeatureSet::LM, &ModelKind::Seq2Seq(p), 1).unwrap();
+        assert_ne!(plain.mae.to_bits(), stopped.mae.to_bits());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::classes::ThroughputClass;
 use crate::features::FeatureSpec;
-use crate::tabular::{build_sequences, build_tabular};
+use crate::tabular::{build_sequences, build_tabular, SequenceData};
 use lumos5g_ml::dataset::TargetScaler;
 use lumos5g_ml::forest::ForestConfig;
 use lumos5g_ml::{
@@ -159,6 +159,70 @@ pub fn quick_seq2seq() -> Seq2SeqParams {
     }
 }
 
+/// The one Seq2Seq fit behind served models, table cells and the horizon
+/// demo: standardizes features (fit on the flattened steps of `train`) and
+/// targets, builds the network for `spec` and `p`, and hands the scaled set
+/// to `trainer`, which must train with `p`'s early-stopping settings —
+/// [`train_in_memory`] straight through, or a checkpointing trainer that
+/// also resumes. `train` must be non-empty.
+pub fn fit_seq2seq(
+    train: &SequenceData,
+    spec: &FeatureSpec,
+    p: &Seq2SeqParams,
+    trainer: impl FnOnce(&mut Seq2Seq, &SequenceData, &Seq2SeqParams),
+) -> TrainedRegressor {
+    let flat: Vec<Vec<f64>> = train.inputs.iter().flatten().cloned().collect();
+    let x_scaler = StandardScaler::fit(&flat);
+    let all_y: Vec<f64> = train.targets.iter().flatten().copied().collect();
+    let y_scaler = TargetScaler::fit(&all_y);
+    let scaled = SequenceData {
+        inputs: train
+            .inputs
+            .iter()
+            .map(|seq| seq.iter().map(|x| x_scaler.transform_row(x)).collect())
+            .collect(),
+        targets: train
+            .targets
+            .iter()
+            .map(|t| t.iter().map(|&y| y_scaler.transform(y)).collect())
+            .collect(),
+    };
+    let mut model = Seq2Seq::new(Seq2SeqConfig {
+        input_dim: spec.dim(),
+        hidden: p.hidden,
+        layers: p.layers,
+        horizon: p.horizon,
+        epochs: p.epochs,
+        batch_size: p.batch_size,
+        lr: p.lr,
+        teacher_forcing: 0.7,
+        clip_norm: 5.0,
+        seed: p.seed,
+    });
+    trainer(&mut model, &scaled, p);
+    TrainedRegressor::Seq2Seq {
+        model: Box::new(model),
+        x_scaler,
+        y_scaler,
+        params: *p,
+        spec: *spec,
+    }
+}
+
+/// The default [`fit_seq2seq`] trainer: early-stopped by `p`, no
+/// checkpoints.
+pub fn train_in_memory(model: &mut Seq2Seq, train: &SequenceData, p: &Seq2SeqParams) {
+    model.train_resumable(
+        &train.inputs,
+        &train.targets,
+        p.val_fraction,
+        p.patience,
+        None,
+        0,
+        |_| {},
+    );
+}
+
 /// The untrained framework object: a feature set bound to a model family.
 #[derive(Debug, Clone)]
 pub struct Lumos5G {
@@ -201,49 +265,7 @@ impl Lumos5G {
                 if sd.is_empty() {
                     return Err("no usable training sequences".into());
                 }
-                // Standardize features (fit on flattened steps) and targets.
-                let flat: Vec<Vec<f64>> = sd.inputs.iter().flatten().cloned().collect();
-                let x_scaler = StandardScaler::fit(&flat);
-                let all_y: Vec<f64> = sd.targets.iter().flatten().copied().collect();
-                let y_scaler = TargetScaler::fit(&all_y);
-                let inputs: Vec<Vec<Vec<f64>>> = sd
-                    .inputs
-                    .iter()
-                    .map(|seq| seq.iter().map(|x| x_scaler.transform_row(x)).collect())
-                    .collect();
-                let targets: Vec<Vec<f64>> = sd
-                    .targets
-                    .iter()
-                    .map(|t| t.iter().map(|&y| y_scaler.transform(y)).collect())
-                    .collect();
-                let mut model = Seq2Seq::new(Seq2SeqConfig {
-                    input_dim: self.spec.dim(),
-                    hidden: p.hidden,
-                    layers: p.layers,
-                    horizon: p.horizon,
-                    epochs: p.epochs,
-                    batch_size: p.batch_size,
-                    lr: p.lr,
-                    teacher_forcing: 0.7,
-                    clip_norm: 5.0,
-                    seed: p.seed,
-                });
-                model.train_resumable(
-                    &inputs,
-                    &targets,
-                    p.val_fraction,
-                    p.patience,
-                    None,
-                    0,
-                    |_| {},
-                );
-                Ok(TrainedRegressor::Seq2Seq {
-                    model: Box::new(model),
-                    x_scaler,
-                    y_scaler,
-                    params: *p,
-                    spec: self.spec,
-                })
+                Ok(fit_seq2seq(&sd, &self.spec, p, train_in_memory))
             }
             ModelKind::Knn { k } => {
                 let td = build_tabular(data, &self.spec);
@@ -410,19 +432,9 @@ impl TrainedRegressor {
                     .collect();
                 (td.ys.clone(), pred)
             }
-            TrainedRegressor::Seq2Seq { params, spec, .. } => {
-                let sd =
-                    build_sequences(data, spec, params.input_len, params.horizon, params.stride);
-                let histories: Vec<&[Vec<f64>]> = sd.inputs.iter().map(Vec::as_slice).collect();
-                let horizons = self
-                    .predict_sequence_batch(&histories)
-                    .expect("build_sequences emits non-empty histories");
-                // Next-slot evaluation: first horizon step.
-                (
-                    sd.targets.iter().map(|t| t[0]).collect(),
-                    horizons.iter().map(|h| h[0]).collect(),
-                )
-            }
+            TrainedRegressor::Seq2Seq { params, spec, .. } => self.eval_next_slot(
+                &build_sequences(data, spec, params.input_len, params.horizon, params.stride),
+            ),
             TrainedRegressor::Harmonic { window } => {
                 let mut truth = Vec::new();
                 let mut pred = Vec::new();
@@ -435,6 +447,19 @@ impl TrainedRegressor {
                 (truth, pred)
             }
         }
+    }
+
+    /// Next-slot evaluation over sequence windows: aligned `(truth,
+    /// prediction)` for the first horizon step of each window.
+    pub(crate) fn eval_next_slot(&self, sd: &SequenceData) -> (Vec<f64>, Vec<f64>) {
+        let histories: Vec<&[Vec<f64>]> = sd.inputs.iter().map(Vec::as_slice).collect();
+        let horizons = self
+            .predict_sequence_batch(&histories)
+            .expect("build_sequences emits non-empty histories");
+        (
+            sd.targets.iter().map(|t| t[0]).collect(),
+            horizons.iter().map(|h| h[0]).collect(),
+        )
     }
 
     /// Multi-step prediction for one feature-vector history (Seq2Seq only;
@@ -815,6 +840,21 @@ mod tests {
         assert_eq!(bits(&batch[0]), bits(&checked));
         assert_eq!(bits(&batch[1]), bits(&m.predict_sequence(&hist2)));
         assert_eq!(m.predict_sequence_batch(&[hist.as_slice(), &[]]), None);
+    }
+
+    #[test]
+    fn served_seq2seq_bytes_are_pinned() {
+        // The served model's `.l5gm` bytes, recorded before training moved
+        // behind `fit_seq2seq`: any change to scaling, configuration or
+        // early stopping on the served path shows up here.
+        let mut p = quick_seq2seq();
+        p.val_fraction = 0.25;
+        p.patience = 2;
+        let m = Lumos5G::new(FeatureSet::LM, ModelKind::Seq2Seq(p))
+            .fit_regression(&small_data())
+            .unwrap();
+        let bytes = crate::persist::encode_regressor(&m).unwrap();
+        assert_eq!(lumos5g_ml::codec::crc32(&bytes), 0x2144_df1c);
     }
 
     #[test]

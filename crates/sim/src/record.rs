@@ -1,7 +1,7 @@
 //! Per-second log records (Table 1 of the paper) and dataset containers.
 
 use lumos5g_geo::{GridCell, GridIndex, Point2};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -205,9 +205,11 @@ impl Dataset {
         self.records.extend(other.records);
     }
 
-    /// Group throughput samples by map-grid cell of the snapped position.
-    pub fn throughput_by_cell(&self, grid: &GridIndex) -> HashMap<GridCell, Vec<f64>> {
-        let mut m: HashMap<GridCell, Vec<f64>> = HashMap::new();
+    /// Group throughput samples by map-grid cell of the snapped position,
+    /// in ascending cell order (so subsampling, "first N cells" and
+    /// summation order downstream are reproducible).
+    pub fn throughput_by_cell(&self, grid: &GridIndex) -> BTreeMap<GridCell, Vec<f64>> {
+        let mut m: BTreeMap<GridCell, Vec<f64>> = BTreeMap::new();
         for r in &self.records {
             m.entry(grid.cell_of(r.snapped()))
                 .or_default()
@@ -217,12 +219,12 @@ impl Dataset {
     }
 
     /// Group by `(cell, heading-octant)` — the paper's "account for mobility
-    /// direction" treatment (§4.2) at 45° resolution.
+    /// direction" treatment (§4.2) at 45° resolution, in ascending key order.
     pub fn throughput_by_cell_and_direction(
         &self,
         grid: &GridIndex,
-    ) -> HashMap<(GridCell, u8), Vec<f64>> {
-        let mut m: HashMap<(GridCell, u8), Vec<f64>> = HashMap::new();
+    ) -> BTreeMap<(GridCell, u8), Vec<f64>> {
+        let mut m: BTreeMap<(GridCell, u8), Vec<f64>> = BTreeMap::new();
         for r in &self.records {
             let octant = ((r.compass_deg.rem_euclid(360.0) / 45.0) as u8) % 8;
             m.entry((grid.cell_of(r.snapped()), octant))
