@@ -15,12 +15,17 @@
 //! compute: fewer, slightly stronger steps).
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::tree::{check_width, RankedColumns, RegressionTree, TreeConfig};
+use crate::team::{self, Team};
+use crate::tree::{
+    check_width, GradientGain, GradientTotals, Job, RankedColumns, RegressionTree, RowOrders,
+    Shard, Split, Tree, TreeConfig,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::ops::ControlFlow;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,14 +81,51 @@ impl GbdtConfig {
     }
 }
 
+/// How many of `n` rows a round's subsample of fraction `frac` draws.
+fn subsample_len(n: usize, frac: f64) -> usize {
+    if frac >= 1.0 {
+        n
+    } else {
+        ((n as f64) * frac).max(1.0) as usize
+    }
+}
+
 fn subsample_idx(n: usize, frac: f64, rng: &mut StdRng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     if frac >= 1.0 {
         return idx;
     }
     idx.shuffle(rng);
-    idx.truncate(((n as f64) * frac).max(1.0) as usize);
+    idx.truncate(subsample_len(n, frac));
     idx
+}
+
+/// A boosting round's subsample, its gradients and the tree grown on
+/// them: what the round's team jobs read.
+struct Round {
+    rows: Vec<usize>,
+    g: Vec<f64>,
+    tree: Option<RegressionTree>,
+}
+
+impl Round {
+    /// What the round's tree grows from, over the fit's columns, tree
+    /// limits, node split state and hessians.
+    fn tree<'a>(
+        &'a self,
+        cols: &'a RankedColumns,
+        cfg: &'a TreeConfig,
+        split: &'a Split,
+        h: &'a [f64],
+    ) -> Tree<'a, GradientGain<'a>> {
+        Tree {
+            cols,
+            cfg,
+            crit: GradientGain { g: &self.g, h },
+            split,
+            rows: &self.rows,
+        }
+    }
 }
 
 /// Mid-boosting training snapshot — everything needed to resume a killed
@@ -182,7 +224,9 @@ pub struct GbdtRegressor {
 impl GbdtRegressor {
     /// Fit on `(xs, ys)`.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], cfg: &GbdtConfig) -> Self {
-        Self::boost(xs, ys, cfg, None, |_, _| ControlFlow::Continue(()))
+        Self::boost(workers(xs), xs, ys, cfg, None, |_, _| {
+            ControlFlow::Continue(())
+        })
     }
 
     /// [`Self::fit`], with crash recovery: every `checkpoint_every` rounds
@@ -209,7 +253,7 @@ impl GbdtRegressor {
         checkpoint_every: usize,
         mut on_checkpoint: impl FnMut(&GbdtCheckpoint),
     ) -> Self {
-        Self::boost(xs, ys, cfg, resume, |done, model| {
+        Self::boost(workers(xs), xs, ys, cfg, resume, |done, model| {
             if checkpoint_every > 0
                 && done.is_multiple_of(checkpoint_every)
                 && done < cfg.n_estimators
@@ -246,7 +290,7 @@ impl GbdtRegressor {
         let mut curve = Vec::new();
         let mut best_rmse = f64::INFINITY;
         let mut best_round = 0usize;
-        let mut model = Self::boost(xs, ys, cfg, None, |done, model| {
+        let mut model = Self::boost(workers(xs), xs, ys, cfg, None, |done, model| {
             let val_pred = val_pred.get_or_insert_with(|| vec![model.base; val_xs.len()]);
             let tree = model.trees.last().expect("called after each round");
             for (vp, vx) in val_pred.iter_mut().zip(val_xs) {
@@ -276,7 +320,13 @@ impl GbdtRegressor {
     /// The one boosting loop. Each feature is ranked once; every round
     /// then orders its subsample by those ranks. After each round,
     /// `after_round(rounds_done, model_so_far)` runs and may stop training.
+    ///
+    /// One team of `workers` (at most one per feature) serves the whole
+    /// fit: each round's orders and tree growth are cut by feature and its
+    /// prediction update by row, and each row's arithmetic is the same as
+    /// on one thread, so the model is the same, bit for bit, for any team.
     fn boost(
+        workers: usize,
         xs: &[Vec<f64>],
         ys: &[f64],
         cfg: &GbdtConfig,
@@ -328,25 +378,63 @@ impl GbdtRegressor {
         };
 
         let cols = RankedColumns::new(xs);
+        let mut orders = RowOrders::new(cols.n_features(), subsample_len(n, cfg.subsample));
+        let shards = orders.shards(&cols, workers);
+        let split = Split::new(&cols, &shards);
         // Squared loss: g = pred − y, h = 1 ⇒ leaf = mean residual. Only
         // the subsampled rows' gradients are refreshed and read each round.
-        let mut g = vec![0.0; n];
         let h = vec![1.0; n];
-        for round in start_round..cfg.n_estimators {
-            let rows = subsample_idx(n, cfg.subsample, &mut rng);
-            for &i in &rows {
-                g[i] = pred[i] - ys[i];
+        let round = RwLock::new(Round {
+            rows: Vec::new(),
+            g: vec![0.0; n],
+            tree: None,
+        });
+        // Each shard updates its own rows' predictions; an entry holds an
+        // `f64`'s bits, and the team's handoff orders the updates before
+        // the next round reads them.
+        let pred: Vec<AtomicU64> = pred.iter().map(|p| AtomicU64::new(p.to_bits())).collect();
+        let run_job = |shard: &mut Shard<'_>, job: &Job<GradientTotals>, round: &Round| {
+            let Job::Predict = job else {
+                return shard.work(job, &round.tree(&cols, &tree_cfg, &split, &h));
+            };
+            let tree = round.tree.as_ref().expect("the round's tree is grown");
+            for i in shard.rows.clone() {
+                let p = f64::from_bits(pred[i].load(Ordering::Relaxed));
+                let p = p + cfg.learning_rate * tree.predict_row(&xs[i]);
+                pred[i].store(p.to_bits(), Ordering::Relaxed);
             }
-            let mut orders = cols.orders(&rows);
-            let tree = RegressionTree::fit_ranked(&cols, &mut orders, &g, &h, &tree_cfg, None);
-            for i in 0..n {
-                pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
+        };
+        let read = || round.read().expect("boosting round poisoned");
+        let write = || round.write().expect("boosting round poisoned");
+        let helpers =
+            |shard: &mut Shard<'_>, job: &Job<GradientTotals>| run_job(shard, job, &read());
+        Team::scope(shards, &helpers, |team| {
+            for r in start_round..cfg.n_estimators {
+                {
+                    let mut round = write();
+                    let Round { rows, g, .. } = &mut *round;
+                    *rows = subsample_idx(n, cfg.subsample, &mut rng);
+                    for &i in rows.iter() {
+                        g[i] = f64::from_bits(pred[i].load(Ordering::Relaxed)) - ys[i];
+                    }
+                }
+                let tree = {
+                    // The caller's jobs borrow this guard instead of each
+                    // taking one of their own.
+                    let round = read();
+                    let tree = round.tree(&cols, &tree_cfg, &split, &h);
+                    team.run(&Job::Orders, |shard, job| shard.work(job, &tree));
+                    RegressionTree::grow_on(team, &tree)
+                };
+                write().tree = Some(tree);
+                team.run(&Job::Predict, |shard, job| run_job(shard, job, &read()));
+                let tree = write().tree.take().expect("the round's tree");
+                model.trees.push(tree);
+                if after_round(r + 1, &model).is_break() {
+                    break;
+                }
             }
-            model.trees.push(tree);
-            if after_round(round + 1, &model).is_break() {
-                break;
-            }
-        }
+        });
         model
     }
 
@@ -430,6 +518,11 @@ impl GbdtRegressor {
     }
 }
 
+/// The team size of a fit over `xs`: [`team::size`] of its width.
+fn workers(xs: &[Vec<f64>]) -> usize {
+    team::size(xs.first().map_or(0, Vec::len))
+}
+
 /// Multiclass softmax gradient boosting.
 #[derive(Debug, Clone)]
 pub struct GbdtClassifier {
@@ -487,9 +580,7 @@ impl GbdtClassifier {
         // the round's class trees; gradients are indexed by row id, one
         // pair of buffers per worker for the whole fit.
         let cols = RankedColumns::new(xs);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |w| w.get())
-            .min(n_classes);
+        let workers = team::size(n_classes);
         let mut grads: Vec<(Vec<f64>, Vec<f64>)> =
             (0..workers).map(|_| (vec![0.0; n], vec![0.0; n])).collect();
         let mut probs = Vec::new();
@@ -504,19 +595,29 @@ impl GbdtClassifier {
             }
             let mut trees: Vec<Option<RegressionTree>> = vec![None; n_classes];
             // Workers claim classes one at a time; each claim hands out that
-            // class's scores and tree slot, so no two workers share memory.
-            let classes = Mutex::new(scores.iter_mut().zip(&mut trees).enumerate());
+            // class's scores and tree slot, so no two workers share memory,
+            // and the round's orders, which growing a tree partitions: a
+            // copy, or the orders themselves for the last class.
+            let claims = Mutex::new((scores.iter_mut().zip(&mut trees).enumerate(), Some(orders)));
             let work = |(g, h): &mut (Vec<f64>, Vec<f64>)| loop {
-                let claimed = classes.lock().expect("class counter poisoned").next();
-                let Some((k, (score, slot))) = claimed else {
-                    break;
+                let (k, score, slot, mut orders) = {
+                    let mut claims = claims.lock().expect("class claims poisoned");
+                    let (classes, orders) = &mut *claims;
+                    let Some((k, (score, slot))) = classes.next() else {
+                        break;
+                    };
+                    let mine = if k + 1 == n_classes {
+                        orders.take()
+                    } else {
+                        orders.clone()
+                    };
+                    (k, score, slot, mine.expect("the round's orders"))
                 };
                 for (&i, p) in rows.iter().zip(probs.chunks_exact(n_classes)) {
                     g[i] = p[k] - if ys[i] == k { 1.0 } else { 0.0 };
                     h[i] = (p[k] * (1.0 - p[k])).max(1e-6);
                 }
-                let tree =
-                    RegressionTree::fit_ranked(&cols, &mut orders.clone(), g, h, &tree_cfg, None);
+                let tree = RegressionTree::fit_ranked(&cols, &mut orders, g, h, &tree_cfg, None);
                 for (s, x) in score.iter_mut().zip(xs) {
                     *s += cfg.learning_rate * tree.predict_row(x);
                 }
@@ -923,12 +1024,14 @@ mod tests {
                 subsample: [0.5, 0.8, 1.0][seed as usize % 3],
                 seed,
             };
-            let reg = GbdtRegressor::fit(&xs, &ys, &cfg);
-            assert_eq!(
-                encoded(&reg),
-                encoded(&reference_regressor(&xs, &ys, &cfg)),
-                "regressor, {cfg:?}"
-            );
+            let want = encoded(&reference_regressor(&xs, &ys, &cfg));
+            // One worker, some, and more than the 7 features.
+            for workers in [1, 2, 3, 4, 9] {
+                let reg = GbdtRegressor::boost(workers, &xs, &ys, &cfg, None, |_, _| {
+                    ControlFlow::Continue(())
+                });
+                assert_eq!(encoded(&reg), want, "{workers}-worker regressor, {cfg:?}");
+            }
             // Early stopping keeps a prefix of the same boosting run.
             let cut = xs.len() * 4 / 5;
             let (es, _) = GbdtRegressor::fit_with_validation(

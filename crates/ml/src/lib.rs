@@ -38,6 +38,7 @@ pub mod kriging;
 pub mod linalg;
 pub mod metrics;
 pub mod nn;
+mod team;
 pub mod tree;
 
 pub use dataset::{train_test_split, StandardScaler};

@@ -20,10 +20,22 @@
 //! Boosting and bagging rank once and reuse the ranks for every tree; the
 //! trees are the same, bit for bit, as sorting each tree's rows by value
 //! would give.
+//!
+//! A tree grows on a team of workers (`crate::team`), each owning a
+//! contiguous block of features: every worker searches and partitions its
+//! own features, and the caller merges the per-feature best splits in
+//! feature order under the criterion's strict comparison, so a tree is the
+//! same for any team size. Boosting keeps one team for the whole fit;
+//! classifier class trees and forest trees, which already grow side by
+//! side, use a team of one, run inline.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::team::{self, Team};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::RwLock;
 
 /// Shared tree growth limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,39 +244,44 @@ impl RankedColumns {
         }
     }
 
-    /// Each feature's order of `rows`: a stable counting sort by rank, so
-    /// ties keep their order in `rows`, exactly as a stable
-    /// `sort_by(total_cmp)` over the rows taken in that order would.
-    /// `rows` may repeat a row (a bootstrap sample).
+    pub(crate) fn n_features(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Each feature's order of `rows` (see [`Self::order_by`]).
     pub(crate) fn orders(&self, rows: &[usize]) -> RowOrders {
-        let len = rows.len();
-        let mut order = vec![0u32; self.values.len() * len];
-        let mut next = Vec::new();
-        for ((rank, &distinct), out) in self
-            .ranks
-            .iter()
-            .zip(&self.distinct)
-            .zip(order.chunks_exact_mut(len.max(1)))
-        {
-            next.clear();
-            next.resize(distinct + 1, 0usize);
-            for &row in rows {
-                next[rank[row] as usize + 1] += 1;
-            }
-            for v in 1..next.len() {
-                next[v] += next[v - 1];
-            }
-            for &row in rows {
-                let slot = &mut next[rank[row] as usize];
-                out[*slot] = row as u32;
-                *slot += 1;
-            }
+        let mut orders = RowOrders::new(self.n_features(), rows.len());
+        let mut counts = Vec::new();
+        for (f, out) in orders.order.chunks_exact_mut(rows.len().max(1)).enumerate() {
+            self.order_by(f, rows, out, &mut counts);
         }
-        RowOrders { order, len }
+        orders
+    }
+
+    /// Feature `f`'s order of `rows` into `out`: a stable counting sort by
+    /// rank, so ties keep their order in `rows`, exactly as a stable
+    /// `sort_by(total_cmp)` over the rows taken in that order would.
+    /// `rows` may repeat a row (a bootstrap sample). `counts` is scratch
+    /// and needs no more than `distinct[f] + 1` entries.
+    fn order_by(&self, f: usize, rows: &[usize], out: &mut [u32], counts: &mut Vec<usize>) {
+        let rank = &self.ranks[f];
+        counts.clear();
+        counts.resize(self.distinct[f] + 1, 0);
+        for &row in rows {
+            counts[rank[row] as usize + 1] += 1;
+        }
+        for v in 1..counts.len() {
+            counts[v] += counts[v - 1];
+        }
+        for &row in rows {
+            let slot = &mut counts[rank[row] as usize];
+            out[*slot] = row as u32;
+            *slot += 1;
+        }
     }
 }
 
-/// Per-feature row orders for one tree: feature `f` occupies
+/// Per-feature row orders of one tree's rows: feature `f` occupies
 /// `order[f·len..(f+1)·len]`. Growing a tree partitions every feature's
 /// slice in place, so a node is one `[lo, hi)` range of each.
 #[derive(Clone)]
@@ -273,9 +290,213 @@ pub(crate) struct RowOrders {
     len: usize,
 }
 
+/// Block `i` of `n` near-equal contiguous blocks of `0..total`.
+fn block(i: usize, n: usize, total: usize) -> Range<usize> {
+    i * total / n..(i + 1) * total / n
+}
+
 impl RowOrders {
+    /// Room for `n_features` orders of `len` rows each.
+    pub(crate) fn new(n_features: usize, len: usize) -> Self {
+        RowOrders {
+            order: vec![0; n_features * len],
+            len,
+        }
+    }
+
+    /// Cut into the shards of a team of `workers` (at most one per
+    /// feature): shard `w` takes block `w` of `cols`' features, with their
+    /// orders, and block `w` of its rows. Shard 0 holds feature 0. Every
+    /// buffer a shard's jobs use is allocated here, by the caller.
+    pub(crate) fn shards(&mut self, cols: &RankedColumns, workers: usize) -> Vec<Shard<'_>> {
+        let n_features = cols.n_features();
+        assert!(self.len > 0, "cannot fit a tree on no data");
+        assert!(n_features > 0, "need at least one feature");
+        assert_eq!(
+            self.order.len(),
+            n_features * self.len,
+            "orders/columns mismatch"
+        );
+        let workers = workers.clamp(1, n_features);
+        let mut rest = &mut self.order[..];
+        (0..workers)
+            .map(|w| {
+                let features = block(w, workers, n_features);
+                let (order, tail) =
+                    std::mem::take(&mut rest).split_at_mut(features.len() * self.len);
+                rest = tail;
+                let buckets = features.clone().map(|f| cols.distinct[f] + 1).max();
+                Shard {
+                    bests: vec![None; features.len()],
+                    features,
+                    order,
+                    len: self.len,
+                    rows: block(w, workers, cols.n_rows),
+                    scratch: Vec::with_capacity(self.len),
+                    counts: Vec::with_capacity(buckets.unwrap_or(0)),
+                }
+            })
+            .collect()
+    }
+}
+
+/// One worker's share of a fit: a contiguous block of features with their
+/// row orders, a contiguous block of rows, and the buffers its jobs use.
+/// A shard keeps its buffers for the whole fit, so a helper thread running
+/// its jobs allocates nothing.
+pub(crate) struct Shard<'o> {
+    features: Range<usize>,
+    /// The block's feature orders, `len` rows each, in feature order.
+    order: &'o mut [u32],
+    len: usize,
+    /// The rows of a fit's own per-row job ([`Job::Predict`]).
+    pub(crate) rows: Range<usize>,
+    /// Each block feature's best split of the node searched last, as
+    /// `(threshold, score)`; `None` when it has no allowed split.
+    bests: Vec<Option<(f64, f64)>>,
+    /// Right-hand rows while one feature's range is partitioned.
+    scratch: Vec<u32>,
+    /// Counting-sort buckets.
+    counts: Vec<usize>,
+}
+
+/// A job a tree's team runs on every shard.
+#[derive(Clone)]
+pub(crate) enum Job<T> {
+    /// Order [`Tree::rows`] by each block feature.
+    Orders,
+    /// Find each block candidate feature's best split of `[lo, hi)`.
+    Search { lo: usize, hi: usize, totals: T },
+    /// Partition each block feature's `[lo, hi)` by [`Split`]'s sides.
+    Partition { lo: usize, hi: usize },
+    /// Boosting's prediction update over the shard's rows; the booster
+    /// runs it itself.
+    Predict,
+}
+
+/// What the caller shares with every shard about the node being split.
+pub(crate) struct Split {
+    /// Side of the chosen split, by row id. The caller writes it before
+    /// posting [`Job::Partition`], which orders the writes before the
+    /// shards' reads.
+    goes_left: Vec<AtomicBool>,
+    /// The features the node may split on, in draw order.
+    candidates: RwLock<Vec<usize>>,
+    /// `owner[f]`: the shard that holds feature `f`.
+    owner: Vec<usize>,
+}
+
+impl Split {
+    /// For a team over `cols` cut into `shards`.
+    pub(crate) fn new(cols: &RankedColumns, shards: &[Shard<'_>]) -> Self {
+        Split {
+            goes_left: (0..cols.n_rows).map(|_| AtomicBool::new(false)).collect(),
+            candidates: RwLock::new((0..cols.n_features()).collect()),
+            owner: (shards.iter().enumerate())
+                .flat_map(|(w, shard)| shard.features.clone().map(move |_| w))
+                .collect(),
+        }
+    }
+}
+
+/// What every worker reads while one tree grows.
+pub(crate) struct Tree<'a, C> {
+    pub(crate) cols: &'a RankedColumns,
+    pub(crate) cfg: &'a TreeConfig,
+    pub(crate) crit: C,
+    pub(crate) split: &'a Split,
+    /// The rows [`Job::Orders`] orders.
+    pub(crate) rows: &'a [usize],
+}
+
+impl Shard<'_> {
     fn feature(&self, f: usize) -> &[u32] {
-        &self.order[f * self.len..(f + 1) * self.len]
+        let k = f - self.features.start;
+        &self.order[k * self.len..(k + 1) * self.len]
+    }
+
+    /// Run a tree job on this shard.
+    pub(crate) fn work<C: Criterion>(&mut self, job: &Job<C::Totals>, tree: &Tree<'_, C>) {
+        match job {
+            Job::Orders => {
+                assert_eq!(tree.rows.len(), self.len, "rows/orders length mismatch");
+                for (f, out) in self
+                    .features
+                    .clone()
+                    .zip(self.order.chunks_exact_mut(self.len))
+                {
+                    tree.cols.order_by(f, tree.rows, out, &mut self.counts);
+                }
+            }
+            Job::Search { lo, hi, totals } => self.search(tree, *lo, *hi, totals),
+            Job::Partition { lo, hi } => self.partition(&tree.split.goes_left, *lo, *hi),
+            Job::Predict => unreachable!("the booster runs its prediction update itself"),
+        }
+    }
+
+    /// Each block candidate feature's best split of `[lo, hi)`, if it beats
+    /// the block's earlier candidates: its first split that beats every
+    /// earlier one, under the criterion's own strict comparison. A feature
+    /// whose splits do not beat an earlier feature's gets `None`: it can
+    /// win no merge that the earlier feature does not win first. With one
+    /// shard this is the serial sweep over every candidate.
+    fn search<C: Criterion>(
+        &mut self,
+        tree: &Tree<'_, C>,
+        lo: usize,
+        hi: usize,
+        totals: &C::Totals,
+    ) {
+        let (cfg, crit) = (tree.cfg, &tree.crit);
+        let n = hi - lo;
+        let candidates = tree.split.candidates.read().expect("candidates poisoned");
+        let mut best: Option<(f64, f64)> = None;
+        for &f in candidates.iter().filter(|f| self.features.contains(f)) {
+            let order = &self.feature(f)[lo..hi];
+            let col = &tree.cols.values[f];
+            let mut sweep = crit.sweep();
+            let mut found = None;
+            for (k, pair) in order.windows(2).enumerate() {
+                let i = pair[0] as usize;
+                crit.add_left(&mut sweep, i);
+                let left_n = k + 1;
+                if left_n < cfg.min_samples_leaf || n - left_n < cfg.min_samples_leaf {
+                    continue;
+                }
+                // Can't split between equal feature values.
+                let (a, b) = (col[i], col[pair[1] as usize]);
+                if a == b {
+                    continue;
+                }
+                if let Some(score) = crit.score(totals, &sweep) {
+                    if C::beats(totals, score, best.map(|b| b.1)) {
+                        best = Some((0.5 * (a + b), score));
+                        found = best;
+                    }
+                }
+            }
+            self.bests[f - self.features.start] = found;
+        }
+    }
+
+    /// Stable in-place partition of every block feature's `[lo, hi)` into
+    /// the rows that go left, then the rest.
+    fn partition(&mut self, goes_left: &[AtomicBool], lo: usize, hi: usize) {
+        for seg in self.order.chunks_exact_mut(self.len) {
+            let seg = &mut seg[lo..hi];
+            self.scratch.clear();
+            let mut l = 0;
+            for k in 0..seg.len() {
+                let i = seg[k];
+                if goes_left[i as usize].load(Ordering::Relaxed) {
+                    seg[l] = i;
+                    l += 1;
+                } else {
+                    self.scratch.push(i);
+                }
+            }
+            seg[l..].copy_from_slice(&self.scratch);
+        }
     }
 }
 
@@ -286,7 +507,25 @@ impl RegressionTree {
     /// For plain least-squares regression on targets `y`, pass `g = −y`,
     /// `h = 1`: leaves become target means and the split gain is exactly
     /// variance reduction.
+    ///
+    /// The tree grows on `min(available_parallelism(), n_features)` threads,
+    /// each searching and partitioning its own block of features; the tree
+    /// is the same, bit for bit, for any thread count.
     pub fn fit_gradients(
+        xs: &[Vec<f64>],
+        g: &[f64],
+        h: &[f64],
+        cfg: &TreeConfig,
+        rng: Option<&mut StdRng>,
+    ) -> Self {
+        let workers = team::size(xs.first().map_or(0, Vec::len));
+        Self::fit_gradients_on(workers, xs, g, h, cfg, rng)
+    }
+
+    /// [`Self::fit_gradients`] on a team of `workers` (at most one per
+    /// feature).
+    fn fit_gradients_on(
+        workers: usize,
         xs: &[Vec<f64>],
         g: &[f64],
         h: &[f64],
@@ -297,12 +536,17 @@ impl RegressionTree {
         assert_eq!(xs.len(), h.len(), "xs/h length mismatch");
         let cols = RankedColumns::new(xs);
         let rows: Vec<usize> = (0..xs.len()).collect();
-        Self::fit_ranked(&cols, &mut cols.orders(&rows), g, h, cfg, rng)
+        let mut orders = RowOrders::new(cols.n_features(), rows.len());
+        let crit = GradientGain { g, h };
+        RegressionTree {
+            nodes: grow_tree(&cols, &mut orders, Some(&rows), crit, cfg, rng, workers),
+            n_features: cols.n_features(),
+        }
     }
 
     /// Fit on the rows `orders` was built from, with `g` and `h` indexed by
-    /// row id. `orders` is partitioned in place and holds no useful order
-    /// afterwards.
+    /// row id, on a one-worker team. `orders` is partitioned in place and
+    /// holds no useful order afterwards.
     pub(crate) fn fit_ranked(
         cols: &RankedColumns,
         orders: &mut RowOrders,
@@ -313,9 +557,32 @@ impl RegressionTree {
     ) -> Self {
         assert_eq!(cols.n_rows, g.len(), "rows/g length mismatch");
         assert_eq!(cols.n_rows, h.len(), "rows/h length mismatch");
+        let crit = GradientGain { g, h };
         RegressionTree {
-            nodes: grow(cols, orders, GradientGain { g, h }, cfg, rng),
-            n_features: cols.values.len(),
+            nodes: grow_tree(cols, orders, None, crit, cfg, rng, 1),
+            n_features: cols.n_features(),
+        }
+    }
+
+    /// Grow one tree on `team`, whose shards hold the ordered rows of
+    /// `tree`, for fits that keep one team across trees (boosting).
+    pub(crate) fn grow_on(
+        team: &TreeTeam<'_, '_, GradientTotals>,
+        tree: &Tree<'_, GradientGain<'_>>,
+    ) -> Self {
+        assert_eq!(
+            tree.cols.n_rows,
+            tree.crit.g.len(),
+            "rows/g length mismatch"
+        );
+        assert_eq!(
+            tree.cols.n_rows,
+            tree.crit.h.len(),
+            "rows/h length mismatch"
+        );
+        RegressionTree {
+            nodes: grow(team, tree, None),
+            n_features: tree.cols.n_features(),
         }
     }
 
@@ -411,9 +678,10 @@ impl ClassificationTree {
         rng: Option<&mut StdRng>,
     ) -> Self {
         assert_eq!(cols.n_rows, ys.len(), "rows/ys length mismatch");
+        let crit = Gini { ys, n_classes };
         ClassificationTree {
-            nodes: grow(cols, orders, Gini { ys, n_classes }, cfg, rng),
-            n_features: cols.values.len(),
+            nodes: grow_tree(cols, orders, None, crit, cfg, rng, 1),
+            n_features: cols.n_features(),
             n_classes,
         }
     }
@@ -478,10 +746,10 @@ impl ClassificationTree {
 /// What a tree kind decides for itself: node totals, split scores and leaf
 /// payloads. Row orders, feature draws, stopping rules, partitioning and
 /// node emission are [`Grower`]'s.
-trait Criterion {
+pub(crate) trait Criterion: Sync {
     type Leaf;
     /// A node's totals, summed in the order of `idx` (it fixes their bits).
-    type Totals;
+    type Totals: Clone + Send + Sync;
     /// The left side's running totals while one feature is swept.
     type Sweep;
     fn totals(&self, idx: &[u32]) -> Self::Totals;
@@ -490,23 +758,27 @@ trait Criterion {
     fn is_pure(&self, t: &Self::Totals, idx: &[u32]) -> bool;
     fn sweep(&self) -> Self::Sweep;
     fn add_left(&self, s: &mut Self::Sweep, row: usize);
-    /// The score of the split after the swept rows, if the split is allowed
-    /// and beats `best` (the best so far; `None` before any).
-    fn improves(&self, t: &Self::Totals, s: &Self::Sweep, best: Option<f64>) -> Option<f64>;
+    /// The score of the split after the swept rows, if the split is allowed.
+    fn score(&self, t: &Self::Totals, s: &Self::Sweep) -> Option<f64>;
+    /// Whether `score` beats `best` (the best so far; `None` before any).
+    /// Strict, so the first of equal candidates wins.
+    fn beats(t: &Self::Totals, score: f64, best: Option<f64>) -> bool;
     /// The gain a split node records (for feature importance).
     fn gain(score: f64) -> f64;
 }
 
 /// Second-order gradient gain; leaves are the Newton step `−Σg / Σh`.
-struct GradientGain<'a> {
-    g: &'a [f64],
-    h: &'a [f64],
+pub(crate) struct GradientGain<'a> {
+    pub(crate) g: &'a [f64],
+    pub(crate) h: &'a [f64],
 }
+
+/// `(Σg, Σh, Σg² / Σh)` of a node.
+pub(crate) type GradientTotals = (f64, f64, f64);
 
 impl Criterion for GradientGain<'_> {
     type Leaf = f64;
-    /// `(Σg, Σh, Σg² / Σh)`.
-    type Totals = (f64, f64, f64);
+    type Totals = GradientTotals;
     /// `(Σg, Σh)` of the left side.
     type Sweep = (f64, f64);
 
@@ -541,15 +813,17 @@ impl Criterion for GradientGain<'_> {
         *hl += self.h[row];
     }
 
-    fn improves(&self, t: &(f64, f64, f64), s: &(f64, f64), best: Option<f64>) -> Option<f64> {
+    fn score(&self, t: &(f64, f64, f64), s: &(f64, f64)) -> Option<f64> {
         let (&(sum_g, sum_h, parent_score), &(gl, hl)) = (t, s);
         let (gr, hr) = (sum_g - gl, sum_h - hl);
-        // Gain is non-negative by convexity; zero-gain splits are accepted
-        // (like sklearn) so symmetric targets such as XOR can still be
-        // separated at deeper levels.
-        (hl > 1e-12 && hr > 1e-12)
-            .then(|| gl * gl / hl + gr * gr / hr - parent_score)
-            .filter(|&gain| gain > best.unwrap_or(-1e-12))
+        (hl > 1e-12 && hr > 1e-12).then(|| gl * gl / hl + gr * gr / hr - parent_score)
+    }
+
+    // Gain is non-negative by convexity; zero-gain splits are accepted
+    // (like sklearn) so symmetric targets such as XOR can still be
+    // separated at deeper levels.
+    fn beats(_: &(f64, f64, f64), gain: f64, best: Option<f64>) -> bool {
+        gain > best.unwrap_or(-1e-12)
     }
 
     fn gain(score: f64) -> f64 {
@@ -564,6 +838,7 @@ struct Gini<'a> {
     n_classes: usize,
 }
 
+#[derive(Clone)]
 struct ClassTotals {
     counts: Vec<f64>,
     total: f64,
@@ -617,13 +892,16 @@ impl Criterion for Gini<'_> {
         left[self.ys[row]] += 1.0;
     }
 
-    fn improves(&self, t: &ClassTotals, left: &Vec<f64>, best: Option<f64>) -> Option<f64> {
+    fn score(&self, t: &ClassTotals, left: &Vec<f64>) -> Option<f64> {
         // Counts are whole numbers, so this sum is exact.
         let ln: f64 = left.iter().sum();
         let rn = t.total - ln;
         let right = t.counts.iter().zip(left).map(|(c, l)| c - l);
-        let w = (ln * gini(left.iter().copied()) + rn * gini(right)) / t.total;
-        (w < best.unwrap_or(t.parent_gini + 1e-12)).then_some(w)
+        Some((ln * gini(left.iter().copied()) + rn * gini(right)) / t.total)
+    }
+
+    fn beats(t: &ClassTotals, w: f64, best: Option<f64>) -> bool {
+        w < best.unwrap_or(t.parent_gini + 1e-12)
     }
 
     fn gain(_: f64) -> f64 {
@@ -631,28 +909,53 @@ impl Criterion for Gini<'_> {
     }
 }
 
-/// Grow one tree over the rows `orders` was built from and return its
-/// nodes. `orders` is partitioned in place and holds no useful order
-/// afterwards.
-fn grow<C: Criterion>(
+/// A tree fit's team: one [`Shard`] per worker, running [`Job`]s.
+pub(crate) type TreeTeam<'w, 'o, T> = Team<'w, Shard<'o>, Job<T>>;
+
+/// Grow one tree on a team of its own with `workers` (one for the callers
+/// that already run trees side by side: classifier classes and forest
+/// trees), over `orders`, which first orders `rows` when they are given.
+/// `orders` is partitioned in place and holds no useful order afterwards.
+fn grow_tree<C: Criterion>(
     cols: &RankedColumns,
     orders: &mut RowOrders,
+    rows: Option<&[usize]>,
     crit: C,
     cfg: &TreeConfig,
     rng: Option<&mut StdRng>,
+    workers: usize,
 ) -> Vec<Node<C::Leaf>> {
-    assert!(orders.len > 0, "cannot fit a tree on no data");
-    assert!(!cols.values.is_empty(), "need at least one feature");
-    let len = orders.len;
+    let shards = orders.shards(cols, workers);
+    let split = Split::new(cols, &shards);
+    let tree = Tree {
+        cols,
+        cfg,
+        crit,
+        split: &split,
+        rows: rows.unwrap_or_default(),
+    };
+    let work = |shard: &mut Shard<'_>, job: &Job<C::Totals>| shard.work(job, &tree);
+    Team::scope(shards, &work, |team| {
+        if rows.is_some() {
+            team.run(&Job::Orders, work);
+        }
+        grow(team, &tree, rng)
+    })
+}
+
+/// Grow one tree on `team`, whose shards hold the ordered rows, and
+/// return its nodes.
+fn grow<C: Criterion>(
+    team: &TreeTeam<'_, '_, C::Totals>,
+    tree: &Tree<'_, C>,
+    rng: Option<&mut StdRng>,
+) -> Vec<Node<C::Leaf>> {
+    let len = team.shard(0).len;
     let mut grower = Grower {
         nodes: Vec::new(),
-        crit,
-        cols,
-        orders,
-        cfg,
+        team,
+        tree,
         rng,
-        goes_left: vec![false; cols.n_rows],
-        scratch: Vec::with_capacity(len),
     };
     grower.build(0, len, 0);
     // A boosted model or a forest keeps hundreds of trees: hold no spare
@@ -661,62 +964,58 @@ fn grow<C: Criterion>(
     grower.nodes
 }
 
-/// One tree's growth state. A node owns the range `[lo, hi)` of every
-/// feature's slice of `orders`; splitting it partitions those ranges in
-/// place, so the children own `[lo, lo + n_left)` and `[lo + n_left, hi)`.
-struct Grower<'a, C: Criterion> {
+/// One tree's growth on the caller's side. A node owns the range
+/// `[lo, hi)` of every feature's order; splitting it partitions those
+/// ranges in place, so the children own `[lo, lo + n_left)` and
+/// `[lo + n_left, hi)`.
+///
+/// The caller owns shard 0, and so feature 0: it sums node totals in
+/// feature 0's order and fills the split sides from it. Every shard
+/// sweeps its own features in candidate order and keeps, per feature, the
+/// first split that beats the shard's earlier ones; the caller merges
+/// those in candidate order under the same strict comparison, which picks
+/// the split a single sweep over every candidate would, ties included.
+/// The tree is thus the same for any team size.
+struct Grower<'t, 'w, 'o, 'a, C: Criterion> {
     nodes: Vec<Node<C::Leaf>>,
-    crit: C,
-    cols: &'a RankedColumns,
-    orders: &'a mut RowOrders,
-    cfg: &'a TreeConfig,
-    rng: Option<&'a mut StdRng>,
-    /// Side of the current split, by row id.
-    goes_left: Vec<bool>,
-    /// Right-hand rows while one feature's range is partitioned.
-    scratch: Vec<u32>,
+    team: &'t TreeTeam<'w, 'o, C::Totals>,
+    tree: &'t Tree<'a, C>,
+    rng: Option<&'t mut StdRng>,
 }
 
-impl<C: Criterion> Grower<'_, C> {
+impl<C: Criterion> Grower<'_, '_, '_, '_, C> {
     /// Grow the subtree over `[lo, hi)` and return its root's index. Nodes
     /// are emitted in pre-order, so children always follow their parent.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let cfg = self.cfg;
+        let (team, cfg, crit) = (self.team, self.tree.cfg, &self.tree.crit);
         let n = hi - lo;
-        // Node totals run in feature 0's order: the order fixes their bits.
-        let idx = &self.orders.feature(0)[lo..hi];
-        let totals = self.crit.totals(idx);
-        if depth >= cfg.max_depth || n < cfg.min_samples_split || self.crit.is_pure(&totals, idx) {
-            return self.push(Node::Leaf(self.crit.leaf(&totals)));
-        }
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-        for f in self.candidate_features() {
-            let order = &self.orders.feature(f)[lo..hi];
-            let col = &self.cols.values[f];
-            let mut sweep = self.crit.sweep();
-            for (k, pair) in order.windows(2).enumerate() {
-                let i = pair[0] as usize;
-                self.crit.add_left(&mut sweep, i);
-                let left_n = k + 1;
-                if left_n < cfg.min_samples_leaf || n - left_n < cfg.min_samples_leaf {
-                    continue;
-                }
-                // Can't split between equal feature values.
-                let (a, b) = (col[i], col[pair[1] as usize]);
-                if a == b {
-                    continue;
-                }
-                if let Some(score) = self.crit.improves(&totals, &sweep, best.map(|b| b.2)) {
-                    best = Some((f, 0.5 * (a + b), score));
-                }
-            }
-        }
-
-        let Some((feature, threshold, score)) = best else {
-            return self.push(Node::Leaf(self.crit.leaf(&totals)));
+        let (totals, stop) = {
+            let own = team.shard(0);
+            // Node totals run in feature 0's order: the order fixes their bits.
+            let idx = &own.feature(0)[lo..hi];
+            let totals = crit.totals(idx);
+            let stop =
+                depth >= cfg.max_depth || n < cfg.min_samples_split || crit.is_pure(&totals, idx);
+            (totals, stop)
         };
-        let mid = lo + self.partition(feature, threshold, lo, hi);
+        if stop {
+            return self.push(Node::Leaf(crit.leaf(&totals)));
+        }
+
+        self.draw_candidates();
+        let tree = self.tree;
+        let work = |shard: &mut Shard<'_>, job: &Job<C::Totals>| shard.work(job, tree);
+        let search = Job::Search {
+            lo,
+            hi,
+            totals: totals.clone(),
+        };
+        team.run(&search, work);
+        let Some((feature, threshold, score)) = self.best(&totals) else {
+            return self.push(Node::Leaf(crit.leaf(&totals)));
+        };
+        let mid = lo + self.split_sides(feature, threshold, lo, hi);
+        team.run(&Job::Partition { lo, hi }, work);
         let split = |left, right| Node::Split {
             feature,
             threshold,
@@ -736,47 +1035,60 @@ impl<C: Criterion> Grower<'_, C> {
         self.nodes.len() - 1
     }
 
-    /// All features, or a random subspace of `max_features` of them when
-    /// the caller supplied an RNG (forests).
-    fn candidate_features(&mut self) -> Vec<usize> {
-        let all: Vec<usize> = (0..self.cols.values.len()).collect();
-        match (self.cfg.max_features, self.rng.as_deref_mut()) {
-            (Some(k), Some(r)) if k < all.len() => {
-                let mut shuffled = all;
-                shuffled.shuffle(r);
-                shuffled.truncate(k);
-                shuffled
+    /// With an RNG (forests), a random subspace of `max_features` features
+    /// for this node; otherwise the candidates stay all features.
+    fn draw_candidates(&mut self) {
+        let n_features = self.tree.cols.n_features();
+        if let (Some(k), Some(r)) = (self.tree.cfg.max_features, self.rng.as_deref_mut()) {
+            if k < n_features {
+                let mut candidates = self
+                    .tree
+                    .split
+                    .candidates
+                    .write()
+                    .expect("candidates poisoned");
+                candidates.clear();
+                candidates.extend(0..n_features);
+                candidates.shuffle(r);
+                candidates.truncate(k);
             }
-            _ => all,
         }
     }
 
-    /// Stable in-place partition of every feature's `[lo, hi)` range into
-    /// rows with `value <= threshold` on `feature`, then the rest. Returns
-    /// the number of left rows.
-    fn partition(&mut self, feature: usize, threshold: f64, lo: usize, hi: usize) -> usize {
-        let col = &self.cols.values[feature];
-        let mut n_left = 0;
-        for &i in &self.orders.feature(feature)[lo..hi] {
-            let left = col[i as usize] <= threshold;
-            self.goes_left[i as usize] = left;
-            n_left += usize::from(left);
-        }
-        let len = self.orders.len;
-        for seg in self.orders.order.chunks_exact_mut(len) {
-            let seg = &mut seg[lo..hi];
-            self.scratch.clear();
-            let mut l = 0;
-            for k in 0..seg.len() {
-                let i = seg[k];
-                if self.goes_left[i as usize] {
-                    seg[l] = i;
-                    l += 1;
-                } else {
-                    self.scratch.push(i);
-                }
+    /// The shards' per-feature bests, merged in candidate order: the first
+    /// that beats every earlier one, as `(feature, threshold, score)`.
+    fn best(&self, totals: &C::Totals) -> Option<(usize, f64, f64)> {
+        let split = self.tree.split;
+        let candidates = split.candidates.read().expect("candidates poisoned");
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut held = None;
+        for &f in candidates.iter() {
+            let w = split.owner[f];
+            if held.as_ref().map(|(held_w, _)| *held_w) != Some(w) {
+                held = Some((w, self.team.shard(w)));
             }
-            seg[l..].copy_from_slice(&self.scratch);
+            let (_, shard) = held.as_ref().expect("shard held");
+            let Some((threshold, score)) = shard.bests[f - shard.features.start] else {
+                continue;
+            };
+            if C::beats(totals, score, best.map(|b| b.2)) {
+                best = Some((f, threshold, score));
+            }
+        }
+        best
+    }
+
+    /// Record each row's side of the split in [`Split`], reading the rows
+    /// in feature 0's order, and return the number that go left.
+    fn split_sides(&self, feature: usize, threshold: f64, lo: usize, hi: usize) -> usize {
+        let col = &self.tree.cols.values[feature];
+        let goes_left = &self.tree.split.goes_left;
+        let own = self.team.shard(0);
+        let mut n_left = 0;
+        for &i in &own.feature(0)[lo..hi] {
+            let left = col[i as usize] <= threshold;
+            goes_left[i as usize].store(left, Ordering::Relaxed);
+            n_left += usize::from(left);
         }
         n_left
     }
@@ -1141,6 +1453,10 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Team sizes to check: one, some, and more than there are features
+    /// (capped at one per feature).
+    const TEAMS: [usize; 5] = [1, 2, 3, 4, 9];
+
     #[test]
     fn rank_sorted_trees_equal_the_reference_bit_for_bit() {
         use rand::{Rng, SeedableRng};
@@ -1163,17 +1479,24 @@ mod tests {
                     min_samples_split: 2 * msl,
                     max_features,
                 };
-                let mut a = StdRng::seed_from_u64(seed);
                 let mut b = StdRng::seed_from_u64(seed);
-                let got = RegressionTree::fit_gradients(&xs, &g, &h, &cfg, Some(&mut a));
                 let want = reference::fit_gradients(&xs, &g, &h, &cfg, Some(&mut b));
-                assert_eq!(
-                    encoded(|w| got.encode(w)),
-                    encoded(|w| want.encode(w)),
-                    "seed {seed}, {cfg:?}"
-                );
-                assert_eq!(a, b, "feature draws diverged (seed {seed})");
+                for workers in TEAMS {
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let got =
+                        RegressionTree::fit_gradients_on(workers, &xs, &g, &h, &cfg, Some(&mut a));
+                    assert_eq!(
+                        encoded(|w| got.encode(w)),
+                        encoded(|w| want.encode(w)),
+                        "{workers} workers, seed {seed}, {cfg:?}"
+                    );
+                    assert_eq!(
+                        a, b,
+                        "feature draws diverged ({workers} workers, seed {seed})"
+                    );
+                }
 
+                let mut a = b.clone();
                 let got = ClassificationTree::fit(&xs, &labels, 3, &cfg, Some(&mut a));
                 let want = reference::fit_classification(&xs, &labels, 3, &cfg, Some(&mut b));
                 assert_eq!(
@@ -1183,6 +1506,34 @@ mod tests {
                 );
                 assert_eq!(a, b, "Gini feature draws diverged (seed {seed})");
             }
+        }
+    }
+
+    #[test]
+    fn equal_best_splits_go_to_the_lower_feature_for_any_team_size() {
+        // Features 0 and 2 are the same column, so every split on one
+        // scores exactly what the same split on the other does; feature 1
+        // is noise. With two or more workers they sit in different shards.
+        let xs: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![i as f64, ((i * 7) % 11) as f64, i as f64])
+            .collect();
+        let ys: Vec<f64> = (0..40).map(|i| if i < 17 { 5.0 } else { 30.0 }).collect();
+        let g: Vec<f64> = ys.iter().map(|y| -y).collect();
+        let h = vec![1.0; ys.len()];
+        let cfg = TreeConfig::default();
+        let want = reference::fit_gradients(&xs, &g, &h, &cfg, None);
+        for workers in TEAMS {
+            let got = RegressionTree::fit_gradients_on(workers, &xs, &g, &h, &cfg, None);
+            assert!(
+                matches!(got.nodes[0], Node::Split { feature: 0, .. }),
+                "{workers} workers: root {:?}",
+                got.nodes[0]
+            );
+            assert_eq!(
+                encoded(|w| got.encode(w)),
+                encoded(|w| want.encode(w)),
+                "{workers} workers"
+            );
         }
     }
 

@@ -27,7 +27,7 @@ use lumos5g_sim::Record;
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -238,50 +238,67 @@ struct ShardRuntime {
     metrics: Arc<ShardMetrics>,
 }
 
-fn spawn_worker(rt: &ShardRuntime) -> JoinHandle<()> {
+/// Tells the supervisor that its shard's worker is exiting. It is dropped
+/// when the worker returns and also while a panic unwinds it.
+struct ExitNotice {
+    shard_id: usize,
+    exits: mpsc::Sender<usize>,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        // The supervisor holds a sender of its own, so its receiver lives
+        // as long as any worker; a failed send cannot happen, and `Drop`
+        // must not panic.
+        let _ = self.exits.send(self.shard_id);
+    }
+}
+
+fn spawn_worker(rt: &ShardRuntime, exits: &mpsc::Sender<usize>) -> JoinHandle<()> {
     let shard_id = rt.shard_id;
     let ctx = rt.ctx.clone();
     let registry = rt.registry.clone();
     let rx = rt.rx.clone();
     let out = rt.out.clone();
     let metrics = rt.metrics.clone();
+    let notice = ExitNotice {
+        shard_id,
+        exits: exits.clone(),
+    };
     std::thread::Builder::new()
         .name(format!("serve-shard-{shard_id}"))
-        .spawn(move || run_shard(shard_id, ctx, registry, rx, out, metrics))
+        .spawn(move || {
+            let _notice = notice;
+            run_shard(shard_id, ctx, registry, rx, out, metrics)
+        })
         .expect("spawn shard worker")
 }
 
-/// How often the supervisor polls worker liveness. A dead shard's queue
-/// backs up for at most about this long before the respawn drains it.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
-
 /// Supervise the shard workers until every one of them exits *normally*
 /// (ingest disconnected and drained, i.e. after [`Engine::shutdown`] drops
-/// the queues). A worker that dies — `join` returns `Err` — is counted and
-/// respawned on the same ingest queue; its sessions are rebuilt cold from
-/// the stream. Responses buffered in the channel are never lost, and
-/// records queued behind the death are served by the replacement.
-fn supervise(mut slots: Vec<(ShardRuntime, Option<JoinHandle<()>>)>) {
-    loop {
-        let mut alive = 0usize;
-        for (rt, handle) in slots.iter_mut() {
-            let finished = handle.as_ref().is_some_and(|h| h.is_finished());
-            if finished {
-                let joined = handle.take().expect("handle present").join();
-                if joined.is_err() {
-                    rt.metrics.panicked.fetch_add(1, Ordering::Relaxed);
-                    rt.metrics.restarted.fetch_add(1, Ordering::Relaxed);
-                    *handle = Some(spawn_worker(rt));
-                }
-            }
-            if handle.is_some() {
-                alive += 1;
-            }
+/// the queues). The supervisor sleeps until a worker reports its exit on
+/// `exits`, then joins it. A worker that died — `join` returns `Err` — is
+/// counted and respawned at once on the same ingest queue; its sessions
+/// are rebuilt cold from the stream. Responses buffered in the channel are
+/// never lost, and records queued behind the death are served by the
+/// replacement.
+fn supervise(
+    mut slots: Vec<(ShardRuntime, Option<JoinHandle<()>>)>,
+    exits: (mpsc::Sender<usize>, mpsc::Receiver<usize>),
+) {
+    let (notify, exited) = exits;
+    let mut alive = slots.len();
+    while alive > 0 {
+        let shard_id = exited.recv().expect("the supervisor holds a sender");
+        let (rt, handle) = &mut slots[shard_id];
+        let joined = handle.take().expect("an exiting worker is running").join();
+        if joined.is_err() {
+            rt.metrics.panicked.fetch_add(1, Ordering::Relaxed);
+            rt.metrics.restarted.fetch_add(1, Ordering::Relaxed);
+            *handle = Some(spawn_worker(rt, &notify));
+        } else {
+            alive -= 1; // this worker exited cleanly
         }
-        if alive == 0 {
-            return; // every worker exited cleanly
-        }
-        std::thread::sleep(SUPERVISOR_POLL);
     }
 }
 
@@ -354,6 +371,7 @@ impl Engine {
         let nshards = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(nshards);
         let mut slots = Vec::with_capacity(nshards);
+        let (exit_tx, exit_rx) = mpsc::channel();
         for shard_id in 0..nshards {
             let (tx, rx) = channel::bounded(cfg.queue_capacity.max(1));
             let metrics = Arc::new(ShardMetrics::new());
@@ -365,7 +383,7 @@ impl Engine {
                 out: out_tx.clone(),
                 metrics: metrics.clone(),
             };
-            let worker = spawn_worker(&rt);
+            let worker = spawn_worker(&rt, &exit_tx);
             slots.push((rt, Some(worker)));
             shards.push(ShardHandle {
                 queue: IngestQueue::new(tx, cfg.policy),
@@ -378,7 +396,7 @@ impl Engine {
         drop(out_tx);
         let supervisor = std::thread::Builder::new()
             .name("serve-supervisor".into())
-            .spawn(move || supervise(slots))
+            .spawn(move || supervise(slots, (exit_tx, exit_rx)))
             .expect("spawn supervisor");
         Engine {
             shards,
