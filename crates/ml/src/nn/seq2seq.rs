@@ -17,12 +17,13 @@
 use super::lstm::{accumulate_step, LstmLayer};
 use super::{Adam, Param};
 use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::team::{self, Team};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Architecture and training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,6 +103,7 @@ impl Seq2Seq {
     pub fn new(cfg: Seq2SeqConfig) -> Self {
         assert!(cfg.layers >= 1, "need at least one layer");
         assert!(cfg.horizon >= 1, "horizon must be positive");
+        assert!(cfg.batch_size >= 1, "batch_size must be positive");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let enc = (0..cfg.layers)
             .map(|l| {
@@ -233,7 +235,12 @@ impl Seq2Seq {
             clip_norm: r.f64()?,
             seed: r.u64()?,
         };
-        if cfg.input_dim == 0 || cfg.hidden == 0 || cfg.layers == 0 || cfg.horizon == 0 {
+        if cfg.input_dim == 0
+            || cfg.hidden == 0
+            || cfg.layers == 0
+            || cfg.horizon == 0
+            || cfg.batch_size == 0
+        {
             return Err(CodecError::Invalid(
                 "degenerate Seq2Seq architecture".into(),
             ));
@@ -289,15 +296,6 @@ impl Seq2Seq {
             w_out,
             b_out,
         })
-    }
-
-    fn zero_grads(&mut self) {
-        for l in self.enc.iter_mut().chain(self.dec.iter_mut()) {
-            l.w.zero_grad();
-            l.b.zero_grad();
-        }
-        self.w_out.zero_grad();
-        self.b_out.zero_grad();
     }
 
     /// Visit every parameter tensor mutably, in a fixed order (encoder
@@ -372,7 +370,8 @@ impl Seq2Seq {
     /// checkpoint disagrees with the config, sample count or early-stop
     /// settings — resuming against different inputs would silently diverge.
     ///
-    /// Minibatches are trained lane-parallel on every available core; the
+    /// Minibatches are trained lane-parallel on one team of up to
+    /// `available_parallelism()` workers, kept for the whole fit; the
     /// weights are bit-identical for any core count.
     #[allow(clippy::too_many_arguments)]
     pub fn train_resumable(
@@ -385,136 +384,17 @@ impl Seq2Seq {
         checkpoint_every: usize,
         on_checkpoint: impl FnMut(&Seq2SeqTrainState),
     ) -> Vec<f64> {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut lanes = Lanes::new(&self.cfg, inputs, targets, workers);
-        self.run_epochs(
-            &mut lanes,
-            val_fraction,
-            patience,
-            resume,
-            checkpoint_every,
-            on_checkpoint,
-        )
-    }
-
-    /// The epoch loop behind [`Self::train_resumable`]: shuffling, early
-    /// stopping, checkpoints and resume, with the minibatch gradients and
-    /// validation scores delegated to `engine`.
-    fn run_epochs(
-        &mut self,
-        engine: &mut impl BatchEngine,
-        val_fraction: f64,
-        patience: usize,
-        resume: Option<Seq2SeqTrainState>,
-        checkpoint_every: usize,
-        mut on_checkpoint: impl FnMut(&Seq2SeqTrainState),
-    ) -> Vec<f64> {
-        let (inputs, targets) = engine.data();
-        assert_eq!(
-            inputs.len(),
-            targets.len(),
-            "inputs/targets length mismatch"
-        );
-        assert!(!inputs.is_empty(), "cannot train on empty data");
-        let n = inputs.len();
-        let (train_idx, val_idx) = split_validation(n, val_fraction, patience);
-
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(1));
-        let mut order: Vec<usize> = (0..train_idx.len()).collect();
-        let draws_per_epoch = train_idx.len() * self.cfg.horizon;
-
-        let (mut epoch_losses, mut best, start_epoch) = match resume {
-            None => (Vec::with_capacity(self.cfg.epochs), None, 0),
-            Some(st) => {
-                assert_eq!(
-                    st.model.cfg, self.cfg,
-                    "checkpoint config mismatch on resume"
-                );
-                assert_eq!(
-                    st.n_samples, n,
-                    "checkpoint sample count mismatch on resume"
-                );
-                assert_eq!(
-                    st.val_fraction.to_bits(),
-                    val_fraction.to_bits(),
-                    "checkpoint validation fraction mismatch on resume"
-                );
-                assert_eq!(
-                    st.patience, patience,
-                    "checkpoint patience mismatch on resume"
-                );
-                // Replay the RNG stream of the completed epochs. The order
-                // permutation is shuffled in place epoch over epoch, so the
-                // shuffles must be replayed on the same evolving vector,
-                // interleaved with each epoch's teacher-forcing draws.
-                for _ in 0..st.epochs_done {
-                    order.shuffle(&mut rng);
-                    for _ in 0..draws_per_epoch {
-                        let _ = rng.gen::<f64>();
-                    }
-                }
-                let start = st.epochs_done;
-                *self = st.model;
-                (st.epoch_losses, st.best, start)
-            }
-        };
-
-        for epoch in start_epoch..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            for batch in order.chunks(self.cfg.batch_size) {
-                epoch_loss += engine.step(self, batch, &train_idx, &mut rng);
-            }
-            epoch_losses.push(epoch_loss / train_idx.len() as f64);
-
-            // Early stopping: score the held-out slice autoregressively
-            // (the way the model is served), track the best epoch.
-            let mut stop = false;
-            if !val_idx.is_empty() {
-                let val_loss = engine.validation_loss(self, &val_idx);
-                match &best {
-                    Some(b) if val_loss >= b.val_loss => {
-                        if epoch - b.epoch >= patience {
-                            stop = true;
-                        }
-                    }
-                    _ => {
-                        best = Some(BestEpoch {
-                            val_loss,
-                            epoch,
-                            weights: self.snapshot_weights(),
-                        });
-                    }
-                }
-            }
-
-            let done = epoch + 1;
-            if !stop
-                && checkpoint_every > 0
-                && done.is_multiple_of(checkpoint_every)
-                && done < self.cfg.epochs
-            {
-                on_checkpoint(&Seq2SeqTrainState {
-                    model: self.clone(),
-                    epochs_done: done,
-                    n_samples: n,
-                    val_fraction,
-                    patience,
-                    epoch_losses: epoch_losses.clone(),
-                    best: best.clone(),
-                });
-            }
-            if stop {
-                break;
-            }
-        }
-
-        // Whether training ran out of epochs or stopped early, serve the
-        // best validated weights when a validation slice exists.
-        if let Some(b) = best {
-            self.restore_weights(&b.weights);
-        }
-        epoch_losses
+        let workers = team::size(LANE_BLOCK.min(self.cfg.batch_size));
+        Lanes::fit(self, inputs, targets, workers, |lanes| {
+            run_epochs(
+                lanes,
+                val_fraction,
+                patience,
+                resume,
+                checkpoint_every,
+                on_checkpoint,
+            )
+        })
     }
 
     /// Clone every weight tensor, in [`Self::for_each_param`] order.
@@ -572,6 +452,122 @@ impl DecodeState {
     }
 }
 
+/// The epoch loop behind [`Seq2Seq::train_resumable`]: shuffling, early
+/// stopping, checkpoints and resume, with the model, the minibatch
+/// gradients and the validation scores reached through `engine`.
+fn run_epochs(
+    engine: &mut impl BatchEngine,
+    val_fraction: f64,
+    patience: usize,
+    resume: Option<Seq2SeqTrainState>,
+    checkpoint_every: usize,
+    mut on_checkpoint: impl FnMut(&Seq2SeqTrainState),
+) -> Vec<f64> {
+    let (inputs, targets) = engine.data();
+    assert_eq!(
+        inputs.len(),
+        targets.len(),
+        "inputs/targets length mismatch"
+    );
+    assert!(!inputs.is_empty(), "cannot train on empty data");
+    let n = inputs.len();
+    let (train_idx, val_idx) = split_validation(n, val_fraction, patience);
+    let cfg = engine.with_model(|m| m.cfg);
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1));
+    let mut order: Vec<usize> = (0..train_idx.len()).collect();
+    let draws_per_epoch = train_idx.len() * cfg.horizon;
+
+    let (mut epoch_losses, mut best, start_epoch) = match resume {
+        None => (Vec::with_capacity(cfg.epochs), None, 0),
+        Some(st) => {
+            assert_eq!(st.model.cfg, cfg, "checkpoint config mismatch on resume");
+            assert_eq!(
+                st.n_samples, n,
+                "checkpoint sample count mismatch on resume"
+            );
+            assert_eq!(
+                st.val_fraction.to_bits(),
+                val_fraction.to_bits(),
+                "checkpoint validation fraction mismatch on resume"
+            );
+            assert_eq!(
+                st.patience, patience,
+                "checkpoint patience mismatch on resume"
+            );
+            // Replay the RNG stream of the completed epochs. The order
+            // permutation is shuffled in place epoch over epoch, so the
+            // shuffles must be replayed on the same evolving vector,
+            // interleaved with each epoch's teacher-forcing draws.
+            for _ in 0..st.epochs_done {
+                order.shuffle(&mut rng);
+                for _ in 0..draws_per_epoch {
+                    let _ = rng.gen::<f64>();
+                }
+            }
+            engine.with_model(|m| *m = st.model);
+            (st.epoch_losses, st.best, st.epochs_done)
+        }
+    };
+
+    for epoch in start_epoch..cfg.epochs {
+        order.shuffle(&mut rng);
+        let mut epoch_loss = 0.0;
+        for batch in order.chunks(cfg.batch_size) {
+            epoch_loss += engine.step(batch, &train_idx, &mut rng);
+        }
+        epoch_losses.push(epoch_loss / train_idx.len() as f64);
+
+        // Early stopping: score the held-out slice autoregressively
+        // (the way the model is served), track the best epoch.
+        let mut stop = false;
+        if !val_idx.is_empty() {
+            let val_loss = engine.validation_loss(&val_idx);
+            match &best {
+                Some(b) if val_loss >= b.val_loss => {
+                    if epoch - b.epoch >= patience {
+                        stop = true;
+                    }
+                }
+                _ => {
+                    best = Some(BestEpoch {
+                        val_loss,
+                        epoch,
+                        weights: engine.with_model(|m| m.snapshot_weights()),
+                    });
+                }
+            }
+        }
+
+        let done = epoch + 1;
+        if !stop
+            && checkpoint_every > 0
+            && done.is_multiple_of(checkpoint_every)
+            && done < cfg.epochs
+        {
+            on_checkpoint(&Seq2SeqTrainState {
+                model: engine.with_model(|m| m.clone()),
+                epochs_done: done,
+                n_samples: n,
+                val_fraction,
+                patience,
+                epoch_losses: epoch_losses.clone(),
+                best: best.clone(),
+            });
+        }
+        if stop {
+            break;
+        }
+    }
+
+    // Whether training ran out of epochs or stopped early, serve the
+    // best validated weights when a validation slice exists.
+    if let Some(b) = best {
+        engine.with_model(|m| m.restore_weights(&b.weights));
+    }
+    epoch_losses
+}
+
 /// Deterministic interleaved train/validation split: every `k`-th sample
 /// (k ≈ 1 / `val_fraction`, at least 2) goes to validation. Returns all
 /// samples as training data when early stopping is disabled or the set is
@@ -600,29 +596,33 @@ trait BatchEngine {
     /// The training set: input sequences and their standardized targets.
     fn data(&self) -> (&[Vec<Vec<f64>>], &[Vec<f64>]);
 
+    /// Run `f` on the model being trained, between optimizer steps.
+    fn with_model<R>(&mut self, f: impl FnOnce(&mut Seq2Seq) -> R) -> R;
+
     /// One optimizer step on the minibatch `batch` (positions in
     /// `train_idx`): draw its teacher-forcing decisions from `rng`,
     /// accumulate its gradients, clip and apply Adam. Returns the summed
     /// per-sample loss.
-    fn step(
-        &mut self,
-        model: &mut Seq2Seq,
-        batch: &[usize],
-        train_idx: &[usize],
-        rng: &mut StdRng,
-    ) -> f64;
+    fn step(&mut self, batch: &[usize], train_idx: &[usize], rng: &mut StdRng) -> f64;
 
-    /// Mean autoregressive MSE of `model` over the samples `val_idx`.
-    fn validation_loss(&mut self, model: &Seq2Seq, val_idx: &[usize]) -> f64;
+    /// Mean autoregressive MSE of the model over the samples `val_idx`.
+    fn validation_loss(&mut self, val_idx: &[usize]) -> f64;
 }
 
 /// Samples per lane block: the lanes of a block run forward and backward
-/// in parallel, then their gradients are added in order before the next
-/// block reuses the buffers. Bounds the buffers at any batch size.
+/// in parallel, and the next job adds their gradients in order. Bounds the
+/// buffers at any batch size.
 const LANE_BLOCK: usize = 16;
 
-/// Lane-parallel minibatch training, bit-identical to running BPTT one
-/// sample at a time.
+/// Gradient rows per accumulation unit, the grain at which workers share
+/// out the ordered accumulation. A unit rereads its lanes' `[x; h]` at
+/// every step, half of them from the other core's cache, so finer units
+/// cost more in all: at hidden 16, 16-row units accumulated ≈30–45% slower
+/// than whole 64-row tensors.
+const UNIT_ROWS: usize = 64;
+
+/// Lane-parallel minibatch training on one worker team per fit,
+/// bit-identical to running BPTT one sample at a time.
 ///
 /// Within a minibatch every sample sees the same weights; samples interact
 /// only through the gradient accumulators, and IEEE addition is ordered.
@@ -630,27 +630,24 @@ const LANE_BLOCK: usize = 16;
 /// buffers — no weight gradient touched — and only then are the
 /// contributions `b.g[r] += dz[r]`, `W.g[r][c] += dz[r]·xh[c]` and the
 /// head's added in the per-sample order: sample ascending, then step
-/// descending. Workers share out the lanes of a block, then the rows of
-/// every gradient tensor; each row has one owner, so the order per element
-/// holds for any worker count.
+/// descending. The accumulators are cut into units (up to 64 rows of one LSTM
+/// tensor, or the head), and whichever worker claims a unit adds every lane
+/// of a block to it in that order, so the order per element holds for any
+/// worker count.
 ///
-/// All buffers are sized once per fit and dropped with it; the workers
+/// The caller posts one job per lane block: add the block before (run by
+/// the previous job, in the other half of the double-buffered lane slots)
+/// to the units, then run this block's lanes. A worker that runs out of
+/// units goes straight on to lanes, and a descheduled worker's share is
+/// left to the others instead of holding up a barrier. The caller writes
+/// the minibatch's draws and runs clipping and Adam between jobs, under
+/// the write lock of the state that the workers read during them.
+///
+/// All buffers are sized once per fit and dropped with it; training jobs
 /// allocate nothing.
-struct Lanes<'d> {
-    inputs: &'d [Vec<Vec<f64>>],
-    targets: &'d [Vec<f64>],
-    /// Threads per minibatch (the calling thread included).
-    workers: usize,
-    geo: Geometry,
-    /// One slot per lane of a block.
-    lanes: Vec<RwLock<Lane>>,
-    /// One per worker.
-    scratch: Vec<Scratch>,
-    /// Teacher-forcing decisions of the minibatch, `horizon` per sample.
-    forced: Vec<bool>,
-    /// The model's gradient tensors while a minibatch runs, in
-    /// [`Seq2Seq::for_each_param`] order; empty between minibatches.
-    grads: Vec<Vec<f64>>,
+struct Lanes<'a, 'd, 'm> {
+    fit: &'a Fit<'d, 'm>,
+    team: &'a Team<'a, Scratch, Job>,
 }
 
 /// Buffer geometry shared by every lane of a fit. A lane's steps are its
@@ -700,41 +697,90 @@ struct Scratch {
     dxh: Vec<f64>,
 }
 
-/// One worker's share of the gradient accumulators.
-struct GradShard<'g> {
-    /// Rows of every LSTM tensor this worker adds to.
-    rows: Range<usize>,
-    /// `(W.g rows, b.g rows)` per LSTM layer, encoder layers first.
-    layers: Vec<(&'g mut [f64], &'g mut [f64])>,
-    /// `(w_out.g, b_out.g)`, added to by worker 0.
-    head: Option<(&'g mut [f64], &'g mut [f64])>,
+/// A claimable share of the minibatch's gradient.
+enum Unit {
+    /// Rows `rows` of `W.g` and `b.g` of LSTM layer `layer`, encoder layers
+    /// first.
+    Rows {
+        layer: usize,
+        rows: Range<usize>,
+        w: Vec<f64>,
+        b: Vec<f64>,
+    },
+    /// The output head's `w_out.g` and `b_out.g`, and the summed sample
+    /// loss.
+    Head { w: Vec<f64>, b: f64, loss: f64 },
 }
 
-/// What every worker of one minibatch shares.
-struct Batch<'a> {
-    model: &'a Seq2Seq,
-    inputs: &'a [Vec<Vec<f64>>],
-    targets: &'a [Vec<f64>],
-    /// The minibatch, as positions in `train_idx`.
-    batch: &'a [usize],
-    train_idx: &'a [usize],
-    forced: &'a [bool],
-    lanes: &'a [RwLock<Lane>],
+/// A job the caller posts to a fit's team.
+#[derive(Clone)]
+enum Job {
+    /// Add the lanes of minibatch positions `add` (the block before, run by
+    /// the previous job) to every unit, then run the lanes of positions
+    /// `run`.
+    Block {
+        add: Range<usize>,
+        run: Range<usize>,
+    },
+    /// Decode the held-out samples, a lane block per claim.
+    Validate,
+}
+
+/// What a fit's workers share.
+struct Fit<'d, 'm> {
+    inputs: &'d [Vec<Vec<f64>>],
+    targets: &'d [Vec<f64>],
     geo: Geometry,
-    barrier: Barrier,
-    /// Next unclaimed lane of the current block.
+    /// Lanes per block.
+    block: usize,
+    state: RwLock<Shared<'m>>,
+    /// Two blocks of lane slots: minibatch position `p` runs in slot
+    /// `p % (2·block)`, so a block's lanes never overwrite the block that
+    /// is being added beside them.
+    lanes: Vec<RwLock<Lane>>,
+    /// The gradient accumulators, cut into units.
+    units: Vec<Mutex<Unit>>,
+    /// The next unclaimed lane (or held-out block) and unit of the posted
+    /// job. The counters publish no data (lanes and units are handed over
+    /// through their locks), so claims are `Relaxed`; the caller resets
+    /// them before posting a job, and the post orders the reset before
+    /// every claim.
     next_lane: AtomicUsize,
+    next_unit: AtomicUsize,
+    /// Per-sample validation MSEs, as `f64` bits, by held-out position.
+    mse: Vec<AtomicU64>,
 }
 
-impl<'d> Lanes<'d> {
-    fn new(
-        cfg: &Seq2SeqConfig,
+/// The caller's half of a fit: written between jobs, read during them.
+struct Shared<'m> {
+    model: &'m mut Seq2Seq,
+    /// The samples the posted jobs run: the minibatch's, or the held-out
+    /// slice.
+    samples: Vec<usize>,
+    /// Teacher-forcing decisions of the minibatch, `horizon` per sample.
+    forced: Vec<bool>,
+}
+
+/// Claim the next of `n` shares from `counter`.
+fn claim(counter: &AtomicUsize, n: usize) -> Option<usize> {
+    let i = counter.fetch_add(1, Ordering::Relaxed);
+    (i < n).then_some(i)
+}
+
+impl<'d> Lanes<'_, 'd, '_> {
+    /// Run `body` with an engine that trains `model` on `(inputs, targets)`
+    /// on one team of `workers` for the whole fit. The helpers are joined
+    /// before this returns.
+    fn fit<R>(
+        model: &mut Seq2Seq,
         inputs: &'d [Vec<Vec<f64>>],
         targets: &'d [Vec<f64>],
         workers: usize,
-    ) -> Self {
-        // Shapes are checked before any worker runs: a worker that panicked
-        // mid-block would leave the others waiting at its barrier.
+        body: impl FnOnce(&mut Lanes<'_, 'd, '_>) -> R,
+    ) -> R {
+        let cfg = model.cfg;
+        // Shapes are checked before the team starts, so a bad sample fails
+        // here with its own message rather than as a helper's panic.
         for (xs, ys) in inputs.iter().zip(targets) {
             assert_eq!(ys.len(), cfg.horizon, "target length mismatch");
             for x in xs {
@@ -749,8 +795,7 @@ impl<'d> Lanes<'d> {
             xh_stride: cfg.input_dim.max(hd).max(1) + hd,
         };
         let slots = (inputs.iter().map(Vec::len).max().unwrap_or(0) + k) * layers;
-        let n_lanes = LANE_BLOCK.min(cfg.batch_size).max(1);
-        let workers = workers.clamp(1, n_lanes);
+        let block = LANE_BLOCK.min(cfg.batch_size);
         let lane = || Lane {
             xh: vec![0.0; slots * geo.xh_stride],
             dz: vec![0.0; slots * 4 * hd],
@@ -769,190 +814,210 @@ impl<'d> Lanes<'d> {
             dh_in: vec![0.0; hd],
             dxh: vec![0.0; geo.xh_stride],
         };
-        Lanes {
+        let mut units = Vec::new();
+        for (layer, cell) in model.enc.iter().chain(&model.dec).enumerate() {
+            let cols = cell.input_dim + hd;
+            for lo in (0..4 * hd).step_by(UNIT_ROWS) {
+                let rows = lo..(lo + UNIT_ROWS).min(4 * hd);
+                units.push(Unit::Rows {
+                    layer,
+                    w: vec![0.0; rows.len() * cols],
+                    b: vec![0.0; rows.len()],
+                    rows,
+                });
+            }
+        }
+        units.push(Unit::Head {
+            w: vec![0.0; hd],
+            b: 0.0,
+            loss: 0.0,
+        });
+        let fit = Fit {
             inputs,
             targets,
-            workers,
             geo,
-            lanes: (0..n_lanes).map(|_| RwLock::new(lane())).collect(),
-            scratch: (0..workers).map(|_| scratch()).collect(),
-            forced: vec![false; cfg.batch_size * k],
-            grads: Vec::with_capacity(4 * layers + 2),
-        }
+            block,
+            state: RwLock::new(Shared {
+                model,
+                samples: Vec::with_capacity(inputs.len()),
+                forced: Vec::with_capacity(cfg.batch_size * k),
+            }),
+            lanes: (0..2 * block).map(|_| RwLock::new(lane())).collect(),
+            units: units.into_iter().map(Mutex::new).collect(),
+            next_lane: AtomicUsize::new(0),
+            next_unit: AtomicUsize::new(0),
+            mse: inputs.iter().map(|_| AtomicU64::new(0)).collect(),
+        };
+        let helpers = |sc: &mut Scratch, job: &Job| fit.work(sc, job, &fit.read());
+        let shards = (0..workers).map(|_| scratch()).collect();
+        Team::scope(shards, &helpers, |team| {
+            body(&mut Lanes { fit: &fit, team })
+        })
     }
 
-    /// Zero the model's gradients and accumulate the minibatch's into them,
-    /// bit-identically to the per-sample loop; returns the summed loss.
-    fn gradients(
-        &mut self,
-        model: &mut Seq2Seq,
-        batch: &[usize],
-        train_idx: &[usize],
-        rng: &mut StdRng,
-    ) -> f64 {
-        let k = self.geo.horizon;
-        let p = model.cfg.teacher_forcing;
-        // The per-sample loop drew `horizon` values per sample as its
-        // decoder ran, sample after sample: the same stream, drawn up front.
-        let forced = &mut self.forced[..batch.len() * k];
-        for f in forced.iter_mut() {
-            *f = rng.gen::<f64>() < p;
+    /// Post `job` and return when every share of it has run. The caller's
+    /// own shares borrow its read guard `st`.
+    fn post(&self, job: &Job, st: &Shared<'_>) {
+        self.fit.next_lane.store(0, Ordering::Relaxed);
+        self.fit.next_unit.store(0, Ordering::Relaxed);
+        self.team.run(job, |sc, job| self.fit.work(sc, job, st));
+    }
+
+    /// Set the model's gradients to the minibatch's, bit-identically to the
+    /// per-sample loop; returns the summed loss.
+    fn gradients(&mut self, batch: &[usize], train_idx: &[usize], rng: &mut StdRng) -> f64 {
+        let fit = self.fit;
+        {
+            let mut st = fit.write();
+            let p = st.model.cfg.teacher_forcing;
+            st.samples.clear();
+            st.samples.extend(batch.iter().map(|&o| train_idx[o]));
+            // The per-sample loop drew `horizon` values per sample as its
+            // decoder ran, sample after sample: the same stream, drawn up
+            // front.
+            st.forced.clear();
+            st.forced
+                .extend((0..batch.len() * fit.geo.horizon).map(|_| rng.gen::<f64>() < p));
         }
-        model.zero_grads();
-        // The gradient tensors leave the model for the minibatch, so the
-        // weights can be shared read-only while each worker owns its rows.
-        model.for_each_param(|p| self.grads.push(std::mem::take(&mut p.g)));
-        let workers = self.workers.min(batch.len());
-        let shards = shard_grads(&mut self.grads, 4 * self.geo.hidden, workers);
-        let ctx = Batch {
-            model,
-            inputs: self.inputs,
-            targets: self.targets,
-            batch,
-            train_idx,
-            forced: &self.forced,
-            lanes: &self.lanes,
-            geo: self.geo,
-            barrier: Barrier::new(workers),
-            next_lane: AtomicUsize::new(0),
-        };
-        let loss = std::thread::scope(|s| {
-            let mut shards = shards.into_iter();
-            let mut scratch = self.scratch.iter_mut();
-            let own = (shards.next(), scratch.next());
-            for (w, (shard, sc)) in shards.zip(scratch).enumerate() {
-                let ctx = &ctx;
-                s.spawn(move || ctx.work(w + 1, shard, sc));
+        {
+            let st = fit.read();
+            let n = batch.len();
+            let mut add = 0..0;
+            for lo in (0..n).step_by(fit.block).chain([n]) {
+                let run = lo..(lo + fit.block).min(n);
+                self.post(
+                    &Job::Block {
+                        add,
+                        run: run.clone(),
+                    },
+                    &st,
+                );
+                add = run;
             }
-            match own {
-                (Some(shard), Some(sc)) => ctx.work(0, shard, sc),
-                _ => unreachable!("at least one worker"),
-            }
-        });
-        let mut grads = self.grads.drain(..);
-        model.for_each_param(|p| p.g = grads.next().expect("one tensor per parameter"));
-        loss
+        }
+        fit.write().model.load_gradients(&fit.units)
     }
 }
 
-impl BatchEngine for Lanes<'_> {
-    fn data(&self) -> (&[Vec<Vec<f64>>], &[Vec<f64>]) {
-        (self.inputs, self.targets)
+impl<'m> Fit<'_, 'm> {
+    fn read(&self) -> RwLockReadGuard<'_, Shared<'m>> {
+        self.state.read().expect("no fit worker panicked")
     }
 
-    fn step(
-        &mut self,
-        model: &mut Seq2Seq,
-        batch: &[usize],
-        train_idx: &[usize],
-        rng: &mut StdRng,
-    ) -> f64 {
-        let loss = self.gradients(model, batch, train_idx, rng);
-        model.clip_and_step(1.0 / batch.len() as f64);
+    fn write(&self) -> RwLockWriteGuard<'_, Shared<'m>> {
+        self.state.write().expect("no fit worker panicked")
+    }
+
+    /// A worker's part of `job` on its scratch `sc`. Lanes, units and
+    /// held-out blocks are claimed one at a time, so a worker that starts
+    /// late or runs slow takes fewer, and whichever worker runs a share
+    /// computes the same values.
+    fn work(&self, sc: &mut Scratch, job: &Job, st: &Shared<'_>) {
+        let model: &Seq2Seq = st.model;
+        let k = self.geo.horizon;
+        let slot = |p: usize| &self.lanes[p % self.lanes.len()];
+        match job {
+            Job::Block { add, run } => {
+                let units = if add.is_empty() { 0 } else { self.units.len() };
+                while let Some(u) = claim(&self.next_unit, units) {
+                    let mut unit = self.units[u].lock().expect("no unit worker panicked");
+                    if add.start == 0 {
+                        // The minibatch's first block: start from +0.0, as
+                        // the per-sample loop's `zero_grads` did.
+                        unit.zero();
+                    }
+                    for p in add.clone() {
+                        let lane = slot(p).read().expect("no lane worker panicked");
+                        model.accumulate_lane(&lane, &self.geo, &mut unit);
+                    }
+                }
+                while let Some(j) = claim(&self.next_lane, run.len()) {
+                    let p = run.start + j;
+                    let i = st.samples[p];
+                    model.run_lane(
+                        &self.inputs[i],
+                        &self.targets[i],
+                        &st.forced[p * k..][..k],
+                        &self.geo,
+                        &mut slot(p).write().expect("no lane worker panicked"),
+                        sc,
+                    );
+                }
+            }
+            Job::Validate => {
+                let held_out = &st.samples;
+                while let Some(c) = claim(&self.next_lane, held_out.len().div_ceil(self.block)) {
+                    let lo = c * self.block;
+                    let chunk = &held_out[lo..(lo + self.block).min(held_out.len())];
+                    let seqs: Vec<&[Vec<f64>]> =
+                        chunk.iter().map(|&i| self.inputs[i].as_slice()).collect();
+                    let preds = model
+                        .predict_batch(&seqs)
+                        .expect("cannot predict from an empty sequence");
+                    for ((pred, &i), mse) in preds.iter().zip(chunk).zip(&self.mse[lo..]) {
+                        let sq = pred
+                            .iter()
+                            .zip(&self.targets[i])
+                            .map(|(p, y)| (p - y) * (p - y))
+                            .sum::<f64>();
+                        mse.store((sq / k as f64).to_bits(), Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Unit {
+    fn zero(&mut self) {
+        match self {
+            Unit::Rows { w, b, .. } => {
+                w.fill(0.0);
+                b.fill(0.0);
+            }
+            Unit::Head { w, b, loss } => {
+                w.fill(0.0);
+                *b = 0.0;
+                *loss = 0.0;
+            }
+        }
+    }
+}
+
+impl BatchEngine for Lanes<'_, '_, '_> {
+    fn data(&self) -> (&[Vec<Vec<f64>>], &[Vec<f64>]) {
+        (self.fit.inputs, self.fit.targets)
+    }
+
+    fn with_model<R>(&mut self, f: impl FnOnce(&mut Seq2Seq) -> R) -> R {
+        f(self.fit.write().model)
+    }
+
+    fn step(&mut self, batch: &[usize], train_idx: &[usize], rng: &mut StdRng) -> f64 {
+        let loss = self.gradients(batch, train_idx, rng);
+        self.fit
+            .write()
+            .model
+            .clip_and_step(1.0 / batch.len() as f64);
         loss
     }
 
-    /// Scores the held-out samples with one [`Seq2Seq::predict_batch`]
-    /// call and sums the per-sample MSEs in `val_idx` order.
-    fn validation_loss(&mut self, model: &Seq2Seq, val_idx: &[usize]) -> f64 {
-        let horizon = model.cfg.horizon as f64;
-        let seqs: Vec<&[Vec<f64>]> = val_idx.iter().map(|&i| self.inputs[i].as_slice()).collect();
-        let preds = model
-            .predict_batch(&seqs)
-            .expect("cannot predict from an empty sequence");
+    /// Decodes the held-out samples across the team, a lane block per
+    /// [`Seq2Seq::predict_batch`] call, and sums the per-sample MSEs in
+    /// `val_idx` order.
+    fn validation_loss(&mut self, val_idx: &[usize]) -> f64 {
+        let fit = self.fit;
+        {
+            let mut st = fit.write();
+            st.samples.clear();
+            st.samples.extend_from_slice(val_idx);
+        }
+        self.post(&Job::Validate, &fit.read());
         let mut loss = 0.0;
-        for (pred, &i) in preds.iter().zip(val_idx) {
-            loss += pred
-                .iter()
-                .zip(&self.targets[i])
-                .map(|(p, y)| (p - y) * (p - y))
-                .sum::<f64>()
-                / horizon;
+        for mse in &fit.mse[..val_idx.len()] {
+            loss += f64::from_bits(mse.load(Ordering::Relaxed));
         }
         loss / val_idx.len() as f64
-    }
-}
-
-/// Split the gradient tensors (in [`Seq2Seq::for_each_param`] order) into
-/// `n` shards: shard `w` owns rows `[w·rows/n, (w+1)·rows/n)` of every LSTM
-/// tensor, shard 0 also the output head.
-fn shard_grads(grads: &mut [Vec<f64>], rows: usize, n: usize) -> Vec<GradShard<'_>> {
-    let (lstm, head) = grads.split_at_mut(grads.len() - 2);
-    let mut shards: Vec<GradShard<'_>> = (0..n)
-        .map(|w| GradShard {
-            rows: w * rows / n..(w + 1) * rows / n,
-            layers: Vec::with_capacity(lstm.len() / 2),
-            head: None,
-        })
-        .collect();
-    for pair in lstm.chunks_exact_mut(2) {
-        let [wg, bg] = pair else {
-            unreachable!("chunks of two")
-        };
-        let cols = wg.len().checked_div(rows).unwrap_or(0);
-        let (mut wg, mut bg) = (wg.as_mut_slice(), bg.as_mut_slice());
-        for shard in &mut shards {
-            let len = shard.rows.len();
-            let (w_rows, w_rest) = std::mem::take(&mut wg).split_at_mut(len * cols);
-            let (b_rows, b_rest) = std::mem::take(&mut bg).split_at_mut(len);
-            (wg, bg) = (w_rest, b_rest);
-            shard.layers.push((w_rows, b_rows));
-        }
-    }
-    let [w_out, b_out] = head else {
-        unreachable!("the head is two tensors")
-    };
-    shards[0].head = Some((w_out, b_out));
-    shards
-}
-
-impl Batch<'_> {
-    /// Worker `w`'s part of the minibatch, block by block: run lanes until
-    /// none is left, wait for the others, then add every lane's gradients to
-    /// its rows.
-    /// Returns the summed sample loss (worker 0; 0 elsewhere).
-    fn work(&self, w: usize, mut shard: GradShard<'_>, sc: &mut Scratch) -> f64 {
-        let k = self.geo.horizon;
-        let mut loss = 0.0;
-        for (b, block) in self.batch.chunks(self.lanes.len()).enumerate() {
-            // Lanes are claimed one at a time, so a worker that starts late
-            // or runs slow takes fewer; any worker may run any lane.
-            let first = b * self.lanes.len();
-            loop {
-                let j = self.next_lane.fetch_add(1, Ordering::Relaxed);
-                let (Some(lane), Some(&o)) = (self.lanes.get(j), block.get(j)) else {
-                    break;
-                };
-                let i = self.train_idx[o];
-                let mut buf = lane.write().expect("no lane worker panicked");
-                self.model.run_lane(
-                    &self.inputs[i],
-                    &self.targets[i],
-                    &self.forced[(first + j) * k..][..k],
-                    &self.geo,
-                    &mut buf,
-                    sc,
-                );
-            }
-            self.barrier.wait();
-            for lane in &self.lanes[..block.len()] {
-                let buf = lane.read().expect("no lane worker panicked");
-                if w == 0 {
-                    loss += buf.loss;
-                }
-                self.model.accumulate_lane(&buf, &self.geo, &mut shard);
-            }
-            if w == 0 {
-                // Every worker is past its last claim and none claims again
-                // before the barrier below, which orders this reset before
-                // the next block's claims. The counter publishes no data
-                // (lanes are handed over through their locks), so the
-                // claims and the reset are `Relaxed`.
-                self.next_lane.store(0, Ordering::Relaxed);
-            }
-            self.barrier.wait();
-        }
-        loss
     }
 }
 
@@ -1097,39 +1162,67 @@ impl Seq2Seq {
         }
     }
 
-    /// Add one lane's weight gradients to the rows `shard` owns, each LSTM
-    /// tensor over its steps descending, then the output head's: the order
-    /// in which the per-sample loop added them.
-    fn accumulate_lane(&self, lane: &Lane, geo: &Geometry, shard: &mut GradShard<'_>) {
+    /// Add one lane's contributions to `unit`: its rows of one LSTM tensor
+    /// over the lane's steps descending, or the output head's and the
+    /// lane's loss: the order in which the per-sample loop added them.
+    fn accumulate_lane(&self, lane: &Lane, geo: &Geometry, unit: &mut Unit) {
         let (layers, hd) = (geo.layers, geo.hidden);
-        let rows = shard.rows.clone();
-        for (li, (wg, bg)) in shard.layers.iter_mut().enumerate() {
-            let (cell, l, steps) = if li < layers {
-                (&self.enc[li], li, 0..lane.enc_len)
-            } else {
-                let l = li - layers;
-                (&self.dec[l], l, lane.enc_len..lane.enc_len + geo.horizon)
-            };
-            let cols = cell.input_dim + hd;
-            for s in steps.rev() {
-                let sl = s * layers + l;
-                accumulate_step(
-                    wg,
-                    bg,
-                    &lane.dz[sl * 4 * hd..][rows.clone()],
-                    &lane.xh[sl * geo.xh_stride..][..cols],
-                );
+        match unit {
+            Unit::Rows { layer, rows, w, b } => {
+                let (cell, l, steps) = if *layer < layers {
+                    (&self.enc[*layer], *layer, 0..lane.enc_len)
+                } else {
+                    let l = *layer - layers;
+                    (&self.dec[l], l, lane.enc_len..lane.enc_len + geo.horizon)
+                };
+                let cols = cell.input_dim + hd;
+                for s in steps.rev() {
+                    let sl = s * layers + l;
+                    accumulate_step(
+                        w,
+                        b,
+                        &lane.dz[sl * 4 * hd..][rows.clone()],
+                        &lane.xh[sl * geo.xh_stride..][..cols],
+                    );
+                }
             }
-        }
-        if let Some((w_out, b_out)) = &mut shard.head {
-            for t in (0..geo.horizon).rev() {
-                let dy = lane.dy[t];
-                b_out[0] += dy;
-                for (g, &h) in w_out.iter_mut().zip(&lane.h_top[t * hd..][..hd]) {
-                    *g += dy * h;
+            Unit::Head { w, b, loss } => {
+                *loss += lane.loss;
+                for t in (0..geo.horizon).rev() {
+                    let dy = lane.dy[t];
+                    *b += dy;
+                    for (g, &h) in w.iter_mut().zip(&lane.h_top[t * hd..][..hd]) {
+                        *g += dy * h;
+                    }
                 }
             }
         }
+    }
+
+    /// Copy the units' sums into the gradient tensors, which they cover;
+    /// returns the minibatch's summed loss.
+    fn load_gradients(&mut self, units: &[Mutex<Unit>]) -> f64 {
+        let (layers, hd) = (self.cfg.layers, self.cfg.hidden);
+        let mut loss = 0.0;
+        for unit in units {
+            match &*unit.lock().expect("no unit worker panicked") {
+                Unit::Rows { layer, rows, w, b } => {
+                    let cell = match layer.checked_sub(layers) {
+                        None => &mut self.enc[*layer],
+                        Some(l) => &mut self.dec[l],
+                    };
+                    let cols = cell.input_dim + hd;
+                    cell.w.g[rows.start * cols..rows.end * cols].copy_from_slice(w);
+                    cell.b.g[rows.clone()].copy_from_slice(b);
+                }
+                Unit::Head { w, b, loss: sum } => {
+                    self.w_out.g.copy_from_slice(w);
+                    self.b_out.g[0] = *b;
+                    loss = *sum;
+                }
+            }
+        }
+        loss
     }
 }
 
@@ -1307,6 +1400,15 @@ pub(super) mod reference {
     }
 
     impl Seq2Seq {
+        pub(crate) fn zero_grads(&mut self) {
+            for l in self.enc.iter_mut().chain(self.dec.iter_mut()) {
+                l.w.zero_grad();
+                l.b.zero_grad();
+            }
+            self.w_out.zero_grad();
+            self.b_out.zero_grad();
+        }
+
         /// Encode an input sequence; returns per-layer (h, c) finals plus all
         /// caches (needed only for training).
         #[allow(clippy::type_complexity)]
@@ -1476,6 +1578,7 @@ pub(super) mod reference {
 
     /// The per-sample training loop as a [`BatchEngine`].
     pub(crate) struct Reference<'d> {
+        pub(crate) model: &'d mut Seq2Seq,
         pub(crate) inputs: &'d [Vec<Vec<f64>>],
         pub(crate) targets: &'d [Vec<f64>],
     }
@@ -1485,13 +1588,12 @@ pub(super) mod reference {
             (self.inputs, self.targets)
         }
 
-        fn step(
-            &mut self,
-            model: &mut Seq2Seq,
-            batch: &[usize],
-            train_idx: &[usize],
-            rng: &mut StdRng,
-        ) -> f64 {
+        fn with_model<R>(&mut self, f: impl FnOnce(&mut Seq2Seq) -> R) -> R {
+            f(self.model)
+        }
+
+        fn step(&mut self, batch: &[usize], train_idx: &[usize], rng: &mut StdRng) -> f64 {
+            let model = &mut *self.model;
             model.zero_grads();
             let mut batch_loss = 0.0;
             for &o in batch {
@@ -1502,16 +1604,16 @@ pub(super) mod reference {
             batch_loss
         }
 
-        fn validation_loss(&mut self, model: &Seq2Seq, val_idx: &[usize]) -> f64 {
+        fn validation_loss(&mut self, val_idx: &[usize]) -> f64 {
             let mut val_loss = 0.0;
             for &i in val_idx {
-                let pred = model.predict_reference(&self.inputs[i]);
+                let pred = self.model.predict_reference(&self.inputs[i]);
                 val_loss += pred
                     .iter()
                     .zip(&self.targets[i])
                     .map(|(p, y)| (p - y) * (p - y))
                     .sum::<f64>()
-                    / model.cfg.horizon as f64;
+                    / self.model.cfg.horizon as f64;
             }
             val_loss /= val_idx.len() as f64;
             val_loss
@@ -1646,14 +1748,72 @@ mod tests {
         }
     }
 
-    /// Gradients of one sample through the lane path, left in `m`'s
-    /// accumulators; returns the sample's loss.
+    #[test]
+    fn degenerate_architectures_are_rejected_on_decode() {
+        let mut w = ByteWriter::new();
+        Seq2Seq::new(tiny_cfg()).encode(&mut w);
+        let model = w.into_bytes();
+        let mut w = ByteWriter::new();
+        Seq2SeqTrainState {
+            model: Seq2Seq::new(tiny_cfg()),
+            epochs_done: 1,
+            n_samples: 8,
+            val_fraction: 0.0,
+            patience: 0,
+            epoch_losses: vec![0.5],
+            best: None,
+        }
+        .encode(&mut w);
+        let state = w.into_bytes();
+        // Both start with the architecture's length fields, four bytes
+        // each: input_dim, hidden, layers, horizon, epochs, batch_size.
+        for (field, at) in [
+            ("input_dim", 0),
+            ("hidden", 4),
+            ("layers", 8),
+            ("horizon", 12),
+            ("batch_size", 20),
+        ] {
+            let zeroed = |bytes: &[u8]| {
+                let mut bytes = bytes.to_vec();
+                bytes[at..at + 4].fill(0);
+                bytes
+            };
+            assert!(
+                matches!(
+                    Seq2Seq::decode(&mut ByteReader::new(&zeroed(&model))),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{field} = 0 must not decode as a model"
+            );
+            assert!(
+                matches!(
+                    Seq2SeqTrainState::decode(&mut ByteReader::new(&zeroed(&state))),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{field} = 0 must not decode as a checkpoint"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size must be positive")]
+    fn a_zero_batch_size_is_refused_at_construction() {
+        Seq2Seq::new(Seq2SeqConfig {
+            batch_size: 0,
+            ..tiny_cfg()
+        });
+    }
+
+    /// Gradients of one sample through the lane path on a team of
+    /// `workers`, left in `m`'s accumulators; returns the sample's loss.
     fn lane_gradients(m: &mut Seq2Seq, xs: &[Vec<f64>], ys: &[f64], workers: usize) -> f64 {
         let (inputs, targets) = (vec![xs.to_vec()], vec![ys.to_vec()]);
-        let mut lanes = Lanes::new(&m.cfg, &inputs, &targets, workers);
         // With tf = 1.0 the path is deterministic regardless of RNG.
         let mut rng = StdRng::seed_from_u64(99);
-        lanes.gradients(m, &[0], &[0], &mut rng)
+        Lanes::fit(m, &inputs, &targets, workers, |lanes| {
+            lanes.gradients(&[0], &[0], &mut rng)
+        })
     }
 
     /// Full-model finite-difference gradient check of the lane path, with
@@ -1768,37 +1928,66 @@ mod tests {
     /// losses and every checkpoint's encoded state.
     type FitBits = (Vec<u8>, Vec<u64>, Vec<Vec<u8>>);
 
+    /// Fit `cfg` on `task` with the lane trainer on a team of `workers`, or
+    /// with the per-sample reference when `workers` is `None`.
     fn fit_bits(
         cfg: Seq2SeqConfig,
-        engine: &mut impl BatchEngine,
+        task: &(Vec<Vec<Vec<f64>>>, Vec<Vec<f64>>),
+        workers: Option<usize>,
         early_stop: (f64, usize),
         resume: Option<Seq2SeqTrainState>,
         checkpoints: &mut Vec<Seq2SeqTrainState>,
     ) -> FitBits {
+        let (inputs, targets) = task;
         let mut m = Seq2Seq::new(cfg);
         let mut states = Vec::new();
-        let losses = m.run_epochs(engine, early_stop.0, early_stop.1, resume, 1, |st| {
+        let on_checkpoint = |st: &Seq2SeqTrainState| {
             let mut w = ByteWriter::new();
             st.encode(&mut w);
             states.push(w.into_bytes());
             checkpoints.push(st.clone());
-        });
+        };
+        let (val_fraction, patience) = early_stop;
+        let losses = match workers {
+            None => {
+                let mut reference = Reference {
+                    model: &mut m,
+                    inputs,
+                    targets,
+                };
+                run_epochs(
+                    &mut reference,
+                    val_fraction,
+                    patience,
+                    resume,
+                    1,
+                    on_checkpoint,
+                )
+            }
+            Some(workers) => Lanes::fit(&mut m, inputs, targets, workers, |lanes| {
+                run_epochs(lanes, val_fraction, patience, resume, 1, on_checkpoint)
+            }),
+        };
         let losses = losses.iter().map(|l| l.to_bits()).collect();
         (model_bytes(&m), losses, states)
     }
 
     /// The lane-parallel trainer is the per-sample reference, bit for bit:
-    /// for 1, 2 and 3 workers, minibatches smaller than, equal to and
-    /// larger than a lane block, early stopping on and off, and resumed
-    /// from every epoch's checkpoint.
+    /// for teams of 1, 2, 3, 4 and 9 workers (at hidden 3, more workers
+    /// than accumulation units; at hidden 17, two units per tensor),
+    /// minibatches smaller than, equal to and larger than a lane block, a
+    /// last minibatch shorter than the team, early stopping on and off,
+    /// and resumed from every epoch's checkpoint.
     #[test]
     fn lane_training_bit_matches_per_sample_reference() {
-        let (inputs, targets) = ragged_task(90);
+        let task = ragged_task(90);
         for (batch_size, hidden, early_stop) in [
             (1, 3, (0.0, 0)),
             (7, 5, (0.25, 1)),
+            (22, 3, (0.0, 0)),
             (64, 5, (0.0, 0)),
             (64, 4, (0.2, 2)),
+            (40, 17, (0.0, 0)),
         ] {
             let cfg = Seq2SeqConfig {
                 input_dim: 3,
@@ -1813,15 +2002,10 @@ mod tests {
                 seed: 5,
             };
             let what = format!("batch {batch_size}, hidden {hidden}, early stop {early_stop:?}");
-            let mut reference = Reference {
-                inputs: &inputs,
-                targets: &targets,
-            };
             let mut checkpoints = Vec::new();
-            let want = fit_bits(cfg, &mut reference, early_stop, None, &mut checkpoints);
-            for workers in 1..=3 {
-                let mut lanes = Lanes::new(&cfg, &inputs, &targets, workers);
-                let got = fit_bits(cfg, &mut lanes, early_stop, None, &mut Vec::new());
+            let want = fit_bits(cfg, &task, None, early_stop, None, &mut checkpoints);
+            for workers in [1, 2, 3, 4, 9] {
+                let got = fit_bits(cfg, &task, Some(workers), early_stop, None, &mut Vec::new());
                 assert!(got.0 == want.0, "{what}, {workers} workers: model differs");
                 assert_eq!(got.1, want.1, "{what}, {workers} workers: epoch losses");
                 assert!(
@@ -1831,8 +2015,7 @@ mod tests {
             }
             for st in checkpoints {
                 let epochs = st.epochs_done();
-                let mut lanes = Lanes::new(&cfg, &inputs, &targets, 2);
-                let got = fit_bits(cfg, &mut lanes, early_stop, Some(st), &mut Vec::new());
+                let got = fit_bits(cfg, &task, Some(2), early_stop, Some(st), &mut Vec::new());
                 assert!(
                     got.0 == want.0,
                     "{what}: resume from epoch {epochs} differs"
