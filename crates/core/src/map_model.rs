@@ -15,7 +15,6 @@
 //! minutes/hours/days): unlike the `C`-feature models it needs no live
 //! session, only the map.
 
-use crate::tabular::TabularData;
 use lumos5g_geo::{GridCell, GridIndex};
 use lumos5g_sim::Dataset;
 use std::collections::HashMap;
@@ -118,24 +117,6 @@ impl MapModel {
         } else {
             (self.global_mean, LookupLevel::Global)
         }
-    }
-
-    /// Evaluate on tabular samples (features built elsewhere; this model
-    /// only reads positions and compass). Returns `(truth, pred)`.
-    pub fn eval_tabular(&self, td: &TabularData, compass: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        assert_eq!(td.len(), compass.len(), "compass column length mismatch");
-        let mut truth = Vec::with_capacity(td.len());
-        let mut pred = Vec::with_capacity(td.len());
-        for (i, pos) in td.positions.iter().enumerate() {
-            truth.push(td.ys[i]);
-            pred.push(self.predict(pos[0], pos[1], compass[i]).0);
-        }
-        (truth, pred)
-    }
-
-    /// Number of populated cells.
-    pub fn cell_count(&self) -> usize {
-        self.by_cell.len()
     }
 
     /// Global mean throughput of the training data.

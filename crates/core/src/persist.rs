@@ -671,18 +671,6 @@ pub fn load_regressor(path: &Path) -> Result<TrainedRegressor, PersistError> {
     decode_regressor(&std::fs::read(path)?)
 }
 
-/// Save a classifier atomically to `path`, creating parent directories as
-/// needed.
-pub fn save_classifier(model: &TrainedClassifier, path: &Path) -> Result<(), PersistError> {
-    let bytes = encode_classifier(model)?;
-    atomic_write(path, &bytes)
-}
-
-/// Load a classifier saved by [`save_classifier`].
-pub fn load_classifier(path: &Path) -> Result<TrainedClassifier, PersistError> {
-    decode_classifier(&std::fs::read(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,7 +69,8 @@ impl Default for Seq2SeqParams {
 impl Seq2SeqParams {
     /// Reject shapes the model cannot train on: a zero window, horizon,
     /// stride, width, depth or minibatch would otherwise panic mid-fit (or,
-    /// for `hidden`, produce a model the codec refuses to load).
+    /// for `hidden`, produce a model the codec refuses to load), and a
+    /// learning rate that is not positive and finite.
     fn validate(&self) -> Result<(), String> {
         for (name, value) in [
             ("input_len", self.input_len),
@@ -83,7 +84,18 @@ impl Seq2SeqParams {
                 return Err(format!("Seq2Seq {name} must be positive"));
             }
         }
+        check_rate("Seq2Seq lr", self.lr)
+    }
+}
+
+/// Reject a learning rate that cannot give a finite model: a NaN or
+/// infinite step makes every weight or leaf non-finite, and a step of zero
+/// or less never learns.
+fn check_rate(name: &str, rate: f64) -> Result<(), String> {
+    if rate.is_finite() && rate > 0.0 {
         Ok(())
+    } else {
+        Err(format!("{name} must be positive and finite, not {rate}"))
     }
 }
 
@@ -119,6 +131,7 @@ impl ModelKind {
     fn validate(&self) -> Result<(), String> {
         match self {
             ModelKind::Seq2Seq(p) => p.validate(),
+            ModelKind::Gdbt(cfg) => check_rate("GDBT learning_rate", cfg.learning_rate),
             // A forest without trees predicts 0/0 = NaN (or always the last
             // class), and its saved file fails to load.
             ModelKind::RandomForest(cfg) if cfg.n_trees == 0 => {
@@ -786,7 +799,21 @@ mod tests {
                 Err(_) => panic!("{name} = 0 panicked"),
             }
         }
+        for lr in BAD_RATES {
+            let p = Seq2SeqParams {
+                lr,
+                epochs: 1,
+                ..quick_seq2seq()
+            };
+            let e = Lumos5G::new(FeatureSet::LM, ModelKind::Seq2Seq(p))
+                .fit_regression(&data)
+                .unwrap_err();
+            assert!(e.contains("lr"), "lr = {lr}: unexpected error {e}");
+        }
     }
+
+    /// Learning rates no model can train on: non-finite, zero, negative.
+    const BAD_RATES: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.1];
 
     #[test]
     fn zero_tree_forests_are_rejected_not_fitted() {
@@ -802,6 +829,27 @@ mod tests {
         assert!(e.contains("n_trees"), "unexpected error {e}");
         let e = fit.fit_classification(&data).unwrap_err();
         assert!(e.contains("n_trees"), "unexpected error {e}");
+    }
+
+    #[test]
+    fn degenerate_gbdt_learning_rates_are_rejected_not_fitted() {
+        let data = small_data();
+        for learning_rate in BAD_RATES {
+            let cfg = GbdtConfig {
+                learning_rate,
+                ..quick_gbdt()
+            };
+            let fit = Lumos5G::new(FeatureSet::L, ModelKind::Gdbt(cfg));
+            for e in [
+                fit.fit_regression(&data).map(|_| ()).unwrap_err(),
+                fit.fit_classification(&data).map(|_| ()).unwrap_err(),
+            ] {
+                assert!(
+                    e.contains("learning_rate"),
+                    "learning_rate = {learning_rate}: unexpected error {e}"
+                );
+            }
+        }
     }
 
     #[test]

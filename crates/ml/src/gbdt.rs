@@ -25,7 +25,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,32 +100,135 @@ fn subsample_idx(n: usize, frac: f64, rng: &mut StdRng) -> Vec<usize> {
     idx
 }
 
-/// A boosting round's subsample, its gradients and the tree grown on
-/// them: what the round's team jobs read.
+/// A boosting round's subsample, every output's gradients on it, and the
+/// tree grown for output `k`: what the round's team jobs read.
 struct Round {
     rows: Vec<usize>,
-    g: Vec<f64>,
+    /// Each output's gradients and hessians by row id, refreshed for the
+    /// subsampled rows only.
+    grads: Vec<(Vec<f64>, Vec<f64>)>,
+    k: usize,
     tree: Option<RegressionTree>,
 }
 
 impl Round {
-    /// What the round's tree grows from, over the fit's columns, tree
-    /// limits, node split state and hessians.
+    /// What output `k`'s tree grows from, over the fit's columns, tree
+    /// limits and node split state.
     fn tree<'a>(
         &'a self,
         cols: &'a RankedColumns,
         cfg: &'a TreeConfig,
         split: &'a Split,
-        h: &'a [f64],
     ) -> Tree<'a, GradientGain<'a>> {
+        let (g, h) = &self.grads[self.k];
         Tree {
             cols,
             cfg,
-            crit: GradientGain { g: &self.g, h },
+            crit: GradientGain { g, h },
             split,
             rows: &self.rows,
         }
     }
+}
+
+/// The one boosting loop, behind both heads: one score column per output
+/// (the regressor's one, or one per class), starting from `scores`, over
+/// rounds `start..n_estimators` (earlier rounds' draws are replayed).
+///
+/// Each round draws its subsample; `gradients(i, s, grads)` turns row `i`'s
+/// scores `s` at the start of the round (it may overwrite them) into row
+/// `i` of each output's gradients and hessians. Then each output in turn
+/// grows a tree on them and adds `lr·tree` to its column. `after_round`
+/// gets the rounds done and the round's trees, and may stop training.
+///
+/// Features are ranked once per fit and the subsample ordered once per
+/// round; later outputs' trees restore the shards' kept orders. One team
+/// of `workers` (at most one per feature) serves the whole fit: orders and
+/// tree growth are cut by feature and score updates by row, with each
+/// row's arithmetic as on one thread, so the model is the same, bit for
+/// bit, for any team.
+fn boost(
+    workers: usize,
+    xs: &[Vec<f64>],
+    cfg: &GbdtConfig,
+    scores: Vec<Vec<f64>>,
+    start: usize,
+    gradients: impl Fn(usize, &mut [f64], &mut [(Vec<f64>, Vec<f64>)]),
+    mut after_round: impl FnMut(usize, Vec<RegressionTree>) -> ControlFlow<()>,
+) {
+    let n = xs.len();
+    let outputs = scores.len();
+    let tree_cfg = cfg.tree_config();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    for _ in 0..start {
+        let _ = subsample_idx(n, cfg.subsample, &mut rng);
+    }
+    let cols = RankedColumns::new(xs);
+    let mut orders = RowOrders::new(cols.n_features(), subsample_len(n, cfg.subsample));
+    let shards = orders.shards(&cols, workers, outputs > 1);
+    let split = Split::new(&cols, &shards);
+    let round = RwLock::new(Round {
+        rows: Vec::new(),
+        grads: vec![(vec![0.0; n], vec![0.0; n]); outputs],
+        k: 0,
+        tree: None,
+    });
+    // Each shard updates its own rows' scores; an entry holds an `f64`'s
+    // bits, and the team's handoff orders the updates before the next
+    // round reads them.
+    let scores: Vec<Vec<AtomicU64>> = (scores.iter())
+        .map(|col| col.iter().map(|s| AtomicU64::new(s.to_bits())).collect())
+        .collect();
+    let run_job = |shard: &mut Shard<'_>, job: &Job<GradientTotals>, round: &Round| {
+        let Job::Predict = job else {
+            return shard.work(job, &round.tree(&cols, &tree_cfg, &split));
+        };
+        let tree = round.tree.as_ref().expect("the round's tree is grown");
+        for i in shard.rows.clone() {
+            let s = &scores[round.k][i];
+            let p = f64::from_bits(s.load(Ordering::Relaxed));
+            let p = p + cfg.learning_rate * tree.predict_row(&xs[i]);
+            s.store(p.to_bits(), Ordering::Relaxed);
+        }
+    };
+    let read = || round.read().expect("boosting round poisoned");
+    let write = || round.write().expect("boosting round poisoned");
+    let helpers = |shard: &mut Shard<'_>, job: &Job<GradientTotals>| run_job(shard, job, &read());
+    Team::scope(shards, &helpers, |team| {
+        let mut row_scores = vec![0.0; outputs];
+        for r in start..cfg.n_estimators {
+            {
+                let mut round = write();
+                let Round { rows, grads, .. } = &mut *round;
+                *rows = subsample_idx(n, cfg.subsample, &mut rng);
+                for &i in rows.iter() {
+                    for (s, col) in row_scores.iter_mut().zip(&scores) {
+                        *s = f64::from_bits(col[i].load(Ordering::Relaxed));
+                    }
+                    gradients(i, &mut row_scores, grads);
+                }
+            }
+            let mut trees = Vec::with_capacity(outputs);
+            for k in 0..outputs {
+                write().k = k;
+                let tree = {
+                    // The caller's jobs borrow this guard instead of each
+                    // taking one of their own.
+                    let round = read();
+                    let tree = round.tree(&cols, &tree_cfg, &split);
+                    let orders = if k == 0 { Job::Orders } else { Job::Restore };
+                    team.run(&orders, |shard, job| shard.work(job, &tree));
+                    RegressionTree::grow_on(team, &tree)
+                };
+                write().tree = Some(tree);
+                team.run(&Job::Predict, |shard, job| run_job(shard, job, &read()));
+                trees.push(write().tree.take().expect("the round's tree"));
+            }
+            if after_round(r + 1, trees).is_break() {
+                break;
+            }
+        }
+    });
 }
 
 /// Mid-boosting training snapshot — everything needed to resume a killed
@@ -224,7 +327,7 @@ pub struct GbdtRegressor {
 impl GbdtRegressor {
     /// Fit on `(xs, ys)`.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], cfg: &GbdtConfig) -> Self {
-        Self::boost(workers(xs), xs, ys, cfg, None, |_, _| {
+        Self::fit_on(workers(xs), xs, ys, cfg, None, |_, _| {
             ControlFlow::Continue(())
         })
     }
@@ -253,7 +356,7 @@ impl GbdtRegressor {
         checkpoint_every: usize,
         mut on_checkpoint: impl FnMut(&GbdtCheckpoint),
     ) -> Self {
-        Self::boost(workers(xs), xs, ys, cfg, resume, |done, model| {
+        Self::fit_on(workers(xs), xs, ys, cfg, resume, |done, model| {
             if checkpoint_every > 0
                 && done.is_multiple_of(checkpoint_every)
                 && done < cfg.n_estimators
@@ -290,7 +393,7 @@ impl GbdtRegressor {
         let mut curve = Vec::new();
         let mut best_rmse = f64::INFINITY;
         let mut best_round = 0usize;
-        let mut model = Self::boost(workers(xs), xs, ys, cfg, None, |done, model| {
+        let mut model = Self::fit_on(workers(xs), xs, ys, cfg, None, |done, model| {
             let val_pred = val_pred.get_or_insert_with(|| vec![model.base; val_xs.len()]);
             let tree = model.trees.last().expect("called after each round");
             for (vp, vx) in val_pred.iter_mut().zip(val_xs) {
@@ -317,15 +420,10 @@ impl GbdtRegressor {
         (model, curve)
     }
 
-    /// The one boosting loop. Each feature is ranked once; every round
-    /// then orders its subsample by those ranks. After each round,
-    /// `after_round(rounds_done, model_so_far)` runs and may stop training.
-    ///
-    /// One team of `workers` (at most one per feature) serves the whole
-    /// fit: each round's orders and tree growth are cut by feature and its
-    /// prediction update by row, and each row's arithmetic is the same as
-    /// on one thread, so the model is the same, bit for bit, for any team.
-    fn boost(
+    /// The regressor's boosting on a team of `workers`, resumed from
+    /// `resume` if given. After each round, `after_round(rounds_done,
+    /// model_so_far)` runs and may stop training.
+    fn fit_on(
         workers: usize,
         xs: &[Vec<f64>],
         ys: &[f64],
@@ -338,10 +436,8 @@ impl GbdtRegressor {
         let n = xs.len();
         let base = ys.iter().sum::<f64>() / n as f64;
         let mut pred = vec![base; n];
-        let tree_cfg = cfg.tree_config();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-        let (trees, start_round) = match resume {
+        let (trees, start) = match resume {
             None => (Vec::with_capacity(cfg.n_estimators), 0),
             Some(ck) => {
                 assert_eq!(ck.cfg, *cfg, "checkpoint config mismatch on resume");
@@ -359,10 +455,9 @@ impl GbdtRegressor {
                         xs[0].len()
                     );
                 }
-                // Fast-forward the RNG and the prediction accumulator
-                // through the completed rounds.
+                // Fast-forward the prediction accumulator through the
+                // completed rounds; the loop replays their RNG draws.
                 for tree in &ck.trees {
-                    let _ = subsample_idx(n, cfg.subsample, &mut rng);
                     for i in 0..n {
                         pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
                     }
@@ -376,64 +471,15 @@ impl GbdtRegressor {
             lr: cfg.learning_rate,
             n_features: xs[0].len(),
         };
-
-        let cols = RankedColumns::new(xs);
-        let mut orders = RowOrders::new(cols.n_features(), subsample_len(n, cfg.subsample));
-        let shards = orders.shards(&cols, workers);
-        let split = Split::new(&cols, &shards);
-        // Squared loss: g = pred − y, h = 1 ⇒ leaf = mean residual. Only
-        // the subsampled rows' gradients are refreshed and read each round.
-        let h = vec![1.0; n];
-        let round = RwLock::new(Round {
-            rows: Vec::new(),
-            g: vec![0.0; n],
-            tree: None,
-        });
-        // Each shard updates its own rows' predictions; an entry holds an
-        // `f64`'s bits, and the team's handoff orders the updates before
-        // the next round reads them.
-        let pred: Vec<AtomicU64> = pred.iter().map(|p| AtomicU64::new(p.to_bits())).collect();
-        let run_job = |shard: &mut Shard<'_>, job: &Job<GradientTotals>, round: &Round| {
-            let Job::Predict = job else {
-                return shard.work(job, &round.tree(&cols, &tree_cfg, &split, &h));
-            };
-            let tree = round.tree.as_ref().expect("the round's tree is grown");
-            for i in shard.rows.clone() {
-                let p = f64::from_bits(pred[i].load(Ordering::Relaxed));
-                let p = p + cfg.learning_rate * tree.predict_row(&xs[i]);
-                pred[i].store(p.to_bits(), Ordering::Relaxed);
-            }
+        // Squared loss: g = pred − y, h = 1 ⇒ leaf = mean residual.
+        let gradients = |i: usize, s: &mut [f64], grads: &mut [(Vec<f64>, Vec<f64>)]| {
+            let (g, h) = &mut grads[0];
+            (g[i], h[i]) = (s[0] - ys[i], 1.0);
         };
-        let read = || round.read().expect("boosting round poisoned");
-        let write = || round.write().expect("boosting round poisoned");
-        let helpers =
-            |shard: &mut Shard<'_>, job: &Job<GradientTotals>| run_job(shard, job, &read());
-        Team::scope(shards, &helpers, |team| {
-            for r in start_round..cfg.n_estimators {
-                {
-                    let mut round = write();
-                    let Round { rows, g, .. } = &mut *round;
-                    *rows = subsample_idx(n, cfg.subsample, &mut rng);
-                    for &i in rows.iter() {
-                        g[i] = f64::from_bits(pred[i].load(Ordering::Relaxed)) - ys[i];
-                    }
-                }
-                let tree = {
-                    // The caller's jobs borrow this guard instead of each
-                    // taking one of their own.
-                    let round = read();
-                    let tree = round.tree(&cols, &tree_cfg, &split, &h);
-                    team.run(&Job::Orders, |shard, job| shard.work(job, &tree));
-                    RegressionTree::grow_on(team, &tree)
-                };
-                write().tree = Some(tree);
-                team.run(&Job::Predict, |shard, job| run_job(shard, job, &read()));
-                let tree = write().tree.take().expect("the round's tree");
-                model.trees.push(tree);
-                if after_round(r + 1, &model).is_break() {
-                    break;
-                }
-            }
+        let scores = vec![pred];
+        boost(workers, xs, cfg, scores, start, gradients, |done, trees| {
+            model.trees.extend(trees);
+            after_round(done, &model)
         });
         model
     }
@@ -463,17 +509,7 @@ impl GbdtRegressor {
 
     /// Gain-based global feature importance, normalized to sum to 1.
     pub fn feature_importance(&self) -> Vec<f64> {
-        let mut imp = vec![0.0; self.n_features];
-        for t in &self.trees {
-            t.add_importance(&mut imp);
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        importance(self.n_features, &self.trees)
     }
 
     /// Number of fitted trees.
@@ -518,6 +554,24 @@ impl GbdtRegressor {
     }
 }
 
+/// The split gains of `trees` per feature, normalized to sum to 1.
+fn importance<'a>(
+    n_features: usize,
+    trees: impl IntoIterator<Item = &'a RegressionTree>,
+) -> Vec<f64> {
+    let mut imp = vec![0.0; n_features];
+    for t in trees {
+        t.add_importance(&mut imp);
+    }
+    let total: f64 = imp.iter().sum();
+    if total > 0.0 {
+        for v in &mut imp {
+            *v /= total;
+        }
+    }
+    imp
+}
+
 /// The team size of a fit over `xs`: [`team::size`] of its width.
 fn workers(xs: &[Vec<f64>]) -> usize {
     team::size(xs.first().map_or(0, Vec::len))
@@ -548,13 +602,19 @@ fn softmax(p: &mut [f64]) {
 
 impl GbdtClassifier {
     /// Fit on labels in `0..n_classes`.
-    ///
-    /// A round's class trees read only that round's probabilities and draw
-    /// no RNG, so they grow concurrently on up to
-    /// `min(available_parallelism(), n_classes)` threads; each writes only
-    /// its own class's scores, and the model is bit-identical for any
-    /// thread count.
     pub fn fit(xs: &[Vec<f64>], ys: &[usize], n_classes: usize, cfg: &GbdtConfig) -> Self {
+        Self::fit_on(workers(xs), xs, ys, n_classes, cfg)
+    }
+
+    /// [`Self::fit`] on a team of `workers`: each round's class trees grow
+    /// one after another, each across the team.
+    fn fit_on(
+        workers: usize,
+        xs: &[Vec<f64>],
+        ys: &[usize],
+        n_classes: usize,
+        cfg: &GbdtConfig,
+    ) -> Self {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         assert!(!xs.is_empty(), "cannot fit GBDT on empty data");
         assert!(n_classes >= 2, "need at least two classes");
@@ -570,86 +630,22 @@ impl GbdtClassifier {
             .map(|c| ((c + 1.0) / (n as f64 + n_classes as f64)).ln())
             .collect();
 
-        // Class-major, `scores[k][i]`: each class tree writes only its own.
-        let mut scores: Vec<Vec<f64>> = priors.iter().map(|&p| vec![p; n]).collect();
-        let tree_cfg = cfg.tree_config();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut all_trees = Vec::with_capacity(cfg.n_estimators);
-
-        // One ranking per fit and one subsample order per round, shared by
-        // the round's class trees; gradients are indexed by row id, one
-        // pair of buffers per worker for the whole fit.
-        let cols = RankedColumns::new(xs);
-        let workers = team::size(n_classes);
-        let mut grads: Vec<(Vec<f64>, Vec<f64>)> =
-            (0..workers).map(|_| (vec![0.0; n], vec![0.0; n])).collect();
-        let mut probs = Vec::new();
-        for _ in 0..cfg.n_estimators {
-            let rows = subsample_idx(n, cfg.subsample, &mut rng);
-            let orders = cols.orders(&rows);
-            probs.clear();
-            for &i in &rows {
-                let start = probs.len();
-                probs.extend(scores.iter().map(|s| s[i]));
-                softmax(&mut probs[start..]);
+        // Softmax loss: g = p − 1[y = k], h = p(1 − p) ⇒ Newton leaves.
+        let gradients = |i: usize, p: &mut [f64], grads: &mut [(Vec<f64>, Vec<f64>)]| {
+            softmax(p);
+            for (k, (&p, (g, h))) in p.iter().zip(grads).enumerate() {
+                g[i] = p - if ys[i] == k { 1.0 } else { 0.0 };
+                h[i] = (p * (1.0 - p)).max(1e-6);
             }
-            let mut trees: Vec<Option<RegressionTree>> = vec![None; n_classes];
-            // Workers claim classes one at a time; each claim hands out that
-            // class's scores and tree slot, so no two workers share memory,
-            // and the round's orders, which growing a tree partitions: a
-            // copy, or the orders themselves for the last class.
-            let claims = Mutex::new((scores.iter_mut().zip(&mut trees).enumerate(), Some(orders)));
-            let work = |(g, h): &mut (Vec<f64>, Vec<f64>)| loop {
-                let (k, score, slot, mut orders) = {
-                    let mut claims = claims.lock().expect("class claims poisoned");
-                    let (classes, orders) = &mut *claims;
-                    let Some((k, (score, slot))) = classes.next() else {
-                        break;
-                    };
-                    let mine = if k + 1 == n_classes {
-                        orders.take()
-                    } else {
-                        orders.clone()
-                    };
-                    (k, score, slot, mine.expect("the round's orders"))
-                };
-                for (&i, p) in rows.iter().zip(probs.chunks_exact(n_classes)) {
-                    g[i] = p[k] - if ys[i] == k { 1.0 } else { 0.0 };
-                    h[i] = (p[k] * (1.0 - p[k])).max(1e-6);
-                }
-                let tree = RegressionTree::fit_ranked(&cols, &mut orders, g, h, &tree_cfg, None);
-                for (s, x) in score.iter_mut().zip(xs) {
-                    *s += cfg.learning_rate * tree.predict_row(x);
-                }
-                *slot = Some(tree);
-            };
-            let work = &work;
-            let (own, others) = grads.split_first_mut().expect("at least one worker");
-            std::thread::scope(|s| {
-                let spawned: Vec<_> = others
-                    .iter_mut()
-                    .map(|buf| s.spawn(move || work(buf)))
-                    .collect();
-                work(own);
-                // Join each thread itself: the scope's own wait returns
-                // before the threads exit, and glibc gives a thread started
-                // while another is still exiting a fresh malloc arena, whose
-                // freed memory then stays resident.
-                for worker in spawned {
-                    worker
-                        .join()
-                        .unwrap_or_else(|e| std::panic::resume_unwind(e));
-                }
-            });
-            all_trees.push(
-                trees
-                    .into_iter()
-                    .map(|t| t.expect("every class grown"))
-                    .collect(),
-            );
-        }
+        };
+        let scores = priors.iter().map(|&p| vec![p; n]).collect();
+        let mut trees = Vec::with_capacity(cfg.n_estimators);
+        boost(workers, xs, cfg, scores, 0, gradients, |_, round| {
+            trees.push(round);
+            ControlFlow::Continue(())
+        });
         GbdtClassifier {
-            trees: all_trees,
+            trees,
             priors,
             lr: cfg.learning_rate,
             n_classes,
@@ -692,19 +688,7 @@ impl GbdtClassifier {
 
     /// Gain-based global feature importance, normalized to sum to 1.
     pub fn feature_importance(&self) -> Vec<f64> {
-        let mut imp = vec![0.0; self.n_features];
-        for round in &self.trees {
-            for t in round {
-                t.add_importance(&mut imp);
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        importance(self.n_features, self.trees.iter().flatten())
     }
 
     /// Number of classes.
@@ -1027,7 +1011,7 @@ mod tests {
             let want = encoded(&reference_regressor(&xs, &ys, &cfg));
             // One worker, some, and more than the 7 features.
             for workers in [1, 2, 3, 4, 9] {
-                let reg = GbdtRegressor::boost(workers, &xs, &ys, &cfg, None, |_, _| {
+                let reg = GbdtRegressor::fit_on(workers, &xs, &ys, &cfg, None, |_, _| {
                     ControlFlow::Continue(())
                 });
                 assert_eq!(encoded(&reg), want, "{workers}-worker regressor, {cfg:?}");
@@ -1051,8 +1035,8 @@ mod tests {
                 encoded(&reference_regressor(&xs[..cut], &ys[..cut], &prefix)),
                 "early stopping, {cfg:?}"
             );
-            // Fewer classes than cores, as many, and more: the class trees
-            // grow concurrently but must land in class order.
+            // Two to five classes: each class tree grows from the round's
+            // orders, restored after the class before it.
             for n_classes in 2..=5 {
                 let labels = if n_classes == 3 {
                     labels.clone()
@@ -1092,15 +1076,19 @@ mod tests {
         n_classes: usize,
         cfg: &GbdtConfig,
     ) {
-        let mut got = ByteWriter::new();
-        GbdtClassifier::fit(xs, labels, n_classes, cfg).encode(&mut got);
         let mut want = ByteWriter::new();
         reference_classifier(xs, labels, n_classes, cfg).encode(&mut want);
-        assert_eq!(
-            got.into_bytes(),
-            want.into_bytes(),
-            "{n_classes}-class classifier, {cfg:?}"
-        );
+        let want = want.into_bytes();
+        // One worker, some, and more than the classes and the 7 features.
+        for workers in [1, 2, 3, 4, 9] {
+            let mut got = ByteWriter::new();
+            GbdtClassifier::fit_on(workers, xs, labels, n_classes, cfg).encode(&mut got);
+            assert_eq!(
+                got.into_bytes(),
+                want,
+                "{workers}-worker {n_classes}-class classifier, {cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! own features, and the caller merges the per-feature best splits in
 //! feature order under the criterion's strict comparison, so a tree is the
 //! same for any team size. Boosting keeps one team for the whole fit;
-//! classifier class trees and forest trees, which already grow side by
-//! side, use a team of one, run inline.
+//! forest trees, which already grow side by side, use a team of one, run
+//! inline.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::team::{self, Team};
@@ -284,7 +284,6 @@ impl RankedColumns {
 /// Per-feature row orders of one tree's rows: feature `f` occupies
 /// `order[f·len..(f+1)·len]`. Growing a tree partitions every feature's
 /// slice in place, so a node is one `[lo, hi)` range of each.
-#[derive(Clone)]
 pub(crate) struct RowOrders {
     order: Vec<u32>,
     len: usize,
@@ -306,9 +305,15 @@ impl RowOrders {
 
     /// Cut into the shards of a team of `workers` (at most one per
     /// feature): shard `w` takes block `w` of `cols`' features, with their
-    /// orders, and block `w` of its rows. Shard 0 holds feature 0. Every
-    /// buffer a shard's jobs use is allocated here, by the caller.
-    pub(crate) fn shards(&mut self, cols: &RankedColumns, workers: usize) -> Vec<Shard<'_>> {
+    /// orders, and block `w` of its rows (and, with `keep`, a kept copy of
+    /// its orders). Shard 0 holds feature 0. Every buffer a shard's jobs
+    /// use is allocated here, by the caller.
+    pub(crate) fn shards(
+        &mut self,
+        cols: &RankedColumns,
+        workers: usize,
+        keep: bool,
+    ) -> Vec<Shard<'_>> {
         let n_features = cols.n_features();
         assert!(self.len > 0, "cannot fit a tree on no data");
         assert!(n_features > 0, "need at least one feature");
@@ -329,6 +334,7 @@ impl RowOrders {
                 Shard {
                     bests: vec![None; features.len()],
                     features,
+                    kept: if keep { order.to_vec() } else { Vec::new() },
                     order,
                     len: self.len,
                     rows: block(w, workers, cols.n_rows),
@@ -348,6 +354,8 @@ pub(crate) struct Shard<'o> {
     features: Range<usize>,
     /// The block's feature orders, `len` rows each, in feature order.
     order: &'o mut [u32],
+    /// `order` as the last [`Job::Orders`] left it, if kept; else empty.
+    kept: Vec<u32>,
     len: usize,
     /// The rows of a fit's own per-row job ([`Job::Predict`]).
     pub(crate) rows: Range<usize>,
@@ -363,8 +371,10 @@ pub(crate) struct Shard<'o> {
 /// A job a tree's team runs on every shard.
 #[derive(Clone)]
 pub(crate) enum Job<T> {
-    /// Order [`Tree::rows`] by each block feature.
+    /// Order [`Tree::rows`] by each block feature, and refresh the kept copy.
     Orders,
+    /// Put back the kept orders, for another tree over the same rows.
+    Restore,
     /// Find each block candidate feature's best split of `[lo, hi)`.
     Search { lo: usize, hi: usize, totals: T },
     /// Partition each block feature's `[lo, hi)` by [`Split`]'s sides.
@@ -427,7 +437,11 @@ impl Shard<'_> {
                 {
                     tree.cols.order_by(f, tree.rows, out, &mut self.counts);
                 }
+                if !self.kept.is_empty() {
+                    self.kept.copy_from_slice(self.order);
+                }
             }
+            Job::Restore => self.order.copy_from_slice(&self.kept),
             Job::Search { lo, hi, totals } => self.search(tree, *lo, *hi, totals),
             Job::Partition { lo, hi } => self.partition(&tree.split.goes_left, *lo, *hi),
             Job::Predict => unreachable!("the booster runs its prediction update itself"),
@@ -912,9 +926,9 @@ impl Criterion for Gini<'_> {
 /// A tree fit's team: one [`Shard`] per worker, running [`Job`]s.
 pub(crate) type TreeTeam<'w, 'o, T> = Team<'w, Shard<'o>, Job<T>>;
 
-/// Grow one tree on a team of its own with `workers` (one for the callers
-/// that already run trees side by side: classifier classes and forest
-/// trees), over `orders`, which first orders `rows` when they are given.
+/// Grow one tree on a team of its own with `workers` (one for forests,
+/// whose trees already grow side by side), over `orders`, which first
+/// orders `rows` when they are given.
 /// `orders` is partitioned in place and holds no useful order afterwards.
 fn grow_tree<C: Criterion>(
     cols: &RankedColumns,
@@ -925,7 +939,7 @@ fn grow_tree<C: Criterion>(
     rng: Option<&mut StdRng>,
     workers: usize,
 ) -> Vec<Node<C::Leaf>> {
-    let shards = orders.shards(cols, workers);
+    let shards = orders.shards(cols, workers, false);
     let split = Split::new(cols, &shards);
     let tree = Tree {
         cols,

@@ -135,11 +135,6 @@ impl FastFading {
         self.state_db = self.rho * self.state_db + innovation;
         self.state_db
     }
-
-    /// Current value without advancing.
-    pub fn current_db(&self) -> f64 {
-        self.state_db
-    }
 }
 
 /// Standard normal variate via Box–Muller (keeps us inside the approved

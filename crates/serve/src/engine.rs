@@ -466,11 +466,6 @@ impl Engine {
         &self.registry
     }
 
-    /// Shards running.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, ue: u64) -> usize {
         // SplitMix64 finalizer: avalanche the UE id so sequential ids
         // spread evenly across shards.

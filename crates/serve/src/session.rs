@@ -166,11 +166,6 @@ impl Session {
     pub fn is_empty(&self) -> bool {
         self.window.is_empty()
     }
-
-    /// True once the window can satisfy a spec needing `required` records.
-    pub fn is_warm(&self, required: usize) -> bool {
-        self.window.len() >= required
-    }
 }
 
 #[cfg(test)]

@@ -147,11 +147,6 @@ impl Summary {
             std: if xs.len() >= 2 { std_dev(xs)? } else { 0.0 },
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]

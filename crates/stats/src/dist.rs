@@ -3,21 +3,11 @@
 //! Only what the hypothesis tests need: standard normal, Student-t,
 //! chi-squared and Fisher F.
 
-use crate::special::{beta_inc, erf, erfc, gamma_p, gamma_q};
-
-/// Standard normal probability density function.
-pub fn normal_pdf(z: f64) -> f64 {
-    (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
+use crate::special::{beta_inc, erf, gamma_p, gamma_q};
 
 /// Standard normal cumulative distribution function Φ(z).
 pub fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
-}
-
-/// Standard normal survival function `1 − Φ(z)`, precise in the far tail.
-pub fn normal_sf(z: f64) -> f64 {
-    0.5 * erfc(z / std::f64::consts::SQRT_2)
 }
 
 /// Inverse standard normal CDF (Acklam's rational approximation refined with
