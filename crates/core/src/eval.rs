@@ -134,6 +134,7 @@ pub fn regression_eval(
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<RegressionOutcome, String> {
+    model.validate()?;
     match model {
         ModelKind::Seq2Seq(p) => {
             seq2seq_eval(data, set, p, split_seed, train_in_memory).map(|(r, _)| r)
@@ -169,6 +170,7 @@ pub fn classification_eval(
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<ClassificationOutcome, String> {
+    model.validate()?;
     match model {
         ModelKind::Seq2Seq(p) => {
             seq2seq_eval(data, set, p, split_seed, train_in_memory).map(|(_, c)| c)
@@ -225,13 +227,16 @@ pub fn summarize(
 /// Run both tasks. Seq2Seq trains **once** and derives both metrics from
 /// the same predictions; every other family runs both paths concurrently
 /// (they share no state or RNG; Kriging and Harmonic Mean classify by
-/// bucketing their regression output there).
+/// bucketing their regression output there). GDBT's two heads so boost
+/// on two teams at once, which measured faster than fitting them one
+/// after the other.
 pub fn eval_both(
     data: &Dataset,
     set: FeatureSet,
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<(RegressionOutcome, ClassificationOutcome), String> {
+    model.validate()?;
     match model {
         ModelKind::Seq2Seq(p) => seq2seq_eval(data, set, p, split_seed, train_in_memory),
         _ => {
@@ -256,6 +261,7 @@ pub fn seq2seq_eval(
     split_seed: u64,
     trainer: impl FnOnce(&mut Seq2Seq, &SequenceData, &Seq2SeqParams),
 ) -> Result<(RegressionOutcome, ClassificationOutcome), String> {
+    p.validate()?;
     let spec = FeatureSpec::new(set);
     let sd = build_sequences(data, &spec, p.input_len, p.horizon, p.stride);
     if sd.len() < 20 {
@@ -361,6 +367,48 @@ mod tests {
         p.patience = 1;
         let stopped = regression_eval(&d, FeatureSet::LM, &ModelKind::Seq2Seq(p), 1).unwrap();
         assert_ne!(plain.mae.to_bits(), stopped.mae.to_bits());
+    }
+
+    #[test]
+    fn invalid_hyperparameters_are_rejected_by_every_entry() {
+        let d = data();
+        let rate = |learning_rate| {
+            ModelKind::Gdbt(lumos5g_ml::GbdtConfig {
+                learning_rate,
+                ..quick_gbdt()
+            })
+        };
+        let no_trees = ModelKind::RandomForest(lumos5g_ml::forest::ForestConfig {
+            n_trees: 0,
+            ..Default::default()
+        });
+        let mut s2s = quick_seq2seq();
+        s2s.lr = f64::NAN;
+        for model in [rate(f64::NAN), rate(0.0), no_trees, ModelKind::Seq2Seq(s2s)] {
+            let set = FeatureSet::LM;
+            assert!(regression_eval(&d, set, &model, 1).is_err(), "{model:?}");
+            assert!(
+                classification_eval(&d, set, &model, 1).is_err(),
+                "{model:?}"
+            );
+            assert!(eval_both(&d, set, &model, 1).is_err(), "{model:?}");
+        }
+        let err = seq2seq_eval(&d, FeatureSet::LM, &s2s, 1, |_, _, _| {
+            panic!("an invalid Seq2Seq cell must not train")
+        });
+        assert!(err.is_err());
+    }
+
+    #[test]
+    fn gdbt_cells_score_both_heads_as_the_single_task_evals_do() {
+        let d = data();
+        let gdbt = ModelKind::Gdbt(quick_gbdt());
+        let (reg, clf) = eval_both(&d, FeatureSet::LM, &gdbt, 1).unwrap();
+        assert_eq!(reg, regression_eval(&d, FeatureSet::LM, &gdbt, 1).unwrap());
+        assert_eq!(
+            clf,
+            classification_eval(&d, FeatureSet::LM, &gdbt, 1).unwrap()
+        );
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Seq2SeqParams {
     /// stride, width, depth or minibatch would otherwise panic mid-fit (or,
     /// for `hidden`, produce a model the codec refuses to load), and a
     /// learning rate that is not positive and finite.
-    fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, value) in [
             ("input_len", self.input_len),
             ("horizon", self.horizon),
@@ -128,7 +128,7 @@ pub enum ModelKind {
 impl ModelKind {
     /// Reject hyperparameters no model can be trained from, before any data
     /// is touched.
-    fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match self {
             ModelKind::Seq2Seq(p) => p.validate(),
             ModelKind::Gdbt(cfg) => check_rate("GDBT learning_rate", cfg.learning_rate),
@@ -902,7 +902,27 @@ mod tests {
             .fit_regression(&small_data())
             .unwrap();
         let bytes = crate::persist::encode_regressor(&m).unwrap();
-        assert_eq!(lumos5g_ml::codec::crc32(&bytes), 0x2144_df1c);
+        assert_eq!(body_crc(&bytes), 0x3b1c_e2a1);
+    }
+
+    /// CRC32 of an encoded model's bytes before the trailing CRC32. A whole
+    /// `.l5gm` file always has the CRC-32 residue `0x2144_df1c`, whatever
+    /// model it holds, so a pin must leave the trailer out.
+    fn body_crc(bytes: &[u8]) -> u32 {
+        lumos5g_ml::codec::crc32(&bytes[..bytes.len() - 4])
+    }
+
+    #[test]
+    fn served_gdbt_bytes_are_pinned() {
+        // Both GDBT heads' `.l5gm` bytes, recorded while trees were still
+        // stored as node lists: the flat tree arrays must encode them 1:1.
+        let fit = Lumos5G::new(FeatureSet::LM, ModelKind::Gdbt(quick_gbdt()));
+        let reg = fit.fit_regression(&small_data()).unwrap();
+        let bytes = crate::persist::encode_regressor(&reg).unwrap();
+        assert_eq!(body_crc(&bytes), 0x9d5a_aab3);
+        let clf = fit.fit_classification(&small_data()).unwrap();
+        let bytes = crate::persist::encode_classifier(&clf).unwrap();
+        assert_eq!(body_crc(&bytes), 0xee53_e84f);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::tree::{
-    check_width, ClassificationTree, RankedColumns, RegressionTree, RowOrders, TreeConfig,
+    check_width, leaf_values, ClassificationTree, RankedColumns, RegressionTree, RowOrders,
+    TreeConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,7 +112,10 @@ impl RandomForestRegressor {
 
     /// Average of tree predictions for one row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
+        // Summed in tree order from `-0.0`, as `Iterator::sum` sums.
+        let mut sum = -0.0;
+        leaf_values(&self.trees, row, |_, v| sum += v);
+        sum / self.trees.len() as f64
     }
 
     /// Predict many rows.
@@ -165,9 +169,9 @@ impl RandomForestClassifier {
     /// Majority vote for one row.
     pub fn predict_row(&self, row: &[f64]) -> usize {
         let mut votes = vec![0usize; self.n_classes];
-        for t in &self.trees {
-            votes[t.predict_row(row)] += 1;
-        }
+        leaf_values(&self.trees, row, |t, leaf| {
+            votes[self.trees[t].class_of(leaf)] += 1;
+        });
         votes
             .iter()
             .enumerate()
@@ -298,6 +302,54 @@ mod tests {
                     encoded(|w| want.encode(w)),
                     "classifier, seed {seed}, {cfg:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_forest_predictions_equal_the_node_walks_bit_for_bit() {
+        for seed in 0..3u64 {
+            let (xs, ys) = reference::tie_heavy_data(seed, 70 + 41 * seed as usize);
+            let labels = reference::tie_heavy_labels(&ys);
+            let rows = reference::probe_rows(&xs);
+            // 11 trees: one walk of eight, then three alone.
+            let cfg = ForestConfig {
+                n_trees: 11,
+                max_depth: 4 + 4 * seed as usize,
+                min_samples_leaf: 1,
+                max_features: None,
+                seed,
+            };
+            let fresh = RandomForestRegressor::fit(&xs, &ys, &cfg);
+            let bytes = encoded(|w| fresh.encode(w));
+            let decoded = RandomForestRegressor::decode(&mut ByteReader::new(&bytes)).unwrap();
+            for m in [&fresh, &decoded] {
+                let nodes: Vec<_> = m.trees.iter().map(reference::regression_nodes).collect();
+                for row in &rows {
+                    let sum = nodes.iter().map(|n| *reference::leaf(n, row)).sum::<f64>();
+                    let want = sum / nodes.len() as f64;
+                    assert_eq!(m.predict_row(row).to_bits(), want.to_bits(), "{row:?}");
+                }
+            }
+            let fresh = RandomForestClassifier::fit(&xs, &labels, 3, &cfg);
+            let bytes = encoded(|w| fresh.encode(w));
+            let decoded = RandomForestClassifier::decode(&mut ByteReader::new(&bytes)).unwrap();
+            for m in [&fresh, &decoded] {
+                let nodes: Vec<_> = m
+                    .trees
+                    .iter()
+                    .map(reference::classification_nodes)
+                    .collect();
+                for row in &rows {
+                    let mut votes = [0usize; 3];
+                    for n in &nodes {
+                        votes[reference::class(n, row)] += 1;
+                    }
+                    let want = (votes.iter().enumerate())
+                        .max_by_key(|(_, &v)| v)
+                        .map(|(c, _)| c);
+                    assert_eq!(Some(m.predict_row(row)), want, "{row:?}");
+                }
             }
         }
     }

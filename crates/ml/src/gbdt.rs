@@ -17,8 +17,8 @@
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::team::{self, Team};
 use crate::tree::{
-    check_width, GradientGain, GradientTotals, Job, RankedColumns, RegressionTree, RowOrders,
-    Shard, Split, Tree, TreeConfig,
+    check_width, leaf_values, GradientGain, GradientTotals, Job, RankedColumns, RegressionTree,
+    RowOrders, Shard, Split, Tree, TreeConfig,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -486,20 +486,17 @@ impl GbdtRegressor {
 
     /// Predict one row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        self.base + self.lr * self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
+        self.predict_row_staged(row, self.trees.len())
     }
 
     /// Prediction after only the first `k` boosting rounds (staged
     /// prediction, for learning-curve analysis).
     pub fn predict_row_staged(&self, row: &[f64], k: usize) -> f64 {
-        self.base
-            + self.lr
-                * self
-                    .trees
-                    .iter()
-                    .take(k)
-                    .map(|t| t.predict_row(row))
-                    .sum::<f64>()
+        // The trees' values are added in tree order from `-0.0`, as
+        // `Iterator::sum` adds them.
+        let mut sum = -0.0;
+        leaf_values(&self.trees[..k.min(self.trees.len())], row, |_, v| sum += v);
+        self.base + self.lr * sum
     }
 
     /// Predict many rows.
@@ -580,8 +577,9 @@ fn workers(xs: &[Vec<f64>]) -> usize {
 /// Multiclass softmax gradient boosting.
 #[derive(Debug, Clone)]
 pub struct GbdtClassifier {
-    /// `trees[round][class]`.
-    trees: Vec<Vec<RegressionTree>>,
+    /// Round after round, one tree per class: class `k`'s tree of round
+    /// `r` is `trees[r · n_classes + k]`.
+    trees: Vec<RegressionTree>,
     priors: Vec<f64>,
     lr: f64,
     n_classes: usize,
@@ -639,9 +637,9 @@ impl GbdtClassifier {
             }
         };
         let scores = priors.iter().map(|&p| vec![p; n]).collect();
-        let mut trees = Vec::with_capacity(cfg.n_estimators);
+        let mut trees = Vec::with_capacity(cfg.n_estimators * n_classes);
         boost(workers, xs, cfg, scores, 0, gradients, |_, round| {
-            trees.push(round);
+            trees.extend(round);
             ControlFlow::Continue(())
         });
         GbdtClassifier {
@@ -656,11 +654,9 @@ impl GbdtClassifier {
     /// Raw class scores for one row.
     fn scores_row(&self, row: &[f64]) -> Vec<f64> {
         let mut s = self.priors.clone();
-        for round in &self.trees {
-            for (k, tree) in round.iter().enumerate() {
-                s[k] += self.lr * tree.predict_row(row);
-            }
-        }
+        leaf_values(&self.trees, row, |t, v| {
+            s[t % self.n_classes] += self.lr * v
+        });
         s
     }
 
@@ -688,7 +684,7 @@ impl GbdtClassifier {
 
     /// Gain-based global feature importance, normalized to sum to 1.
     pub fn feature_importance(&self) -> Vec<f64> {
-        importance(self.n_features, self.trees.iter().flatten())
+        importance(self.n_features, &self.trees)
     }
 
     /// Number of classes.
@@ -707,11 +703,9 @@ impl GbdtClassifier {
         w.put_f64(self.lr);
         w.put_len(self.n_classes);
         w.put_len(self.n_features);
-        w.put_len(self.trees.len());
-        for round in &self.trees {
-            for t in round {
-                t.encode(w);
-            }
+        w.put_len(self.trees.len() / self.n_classes);
+        for t in &self.trees {
+            t.encode(w);
         }
     }
 
@@ -728,16 +722,12 @@ impl GbdtClassifier {
             )));
         }
         let n_rounds = r.len()?;
-        let mut trees = Vec::with_capacity(n_rounds.min(r.remaining()));
-        for _ in 0..n_rounds {
-            let round = (0..n_classes)
-                .map(|_| {
-                    let tree = RegressionTree::decode(r)?;
-                    check_width(tree.n_features(), n_features)?;
-                    Ok(tree)
-                })
-                .collect::<Result<Vec<_>, CodecError>>()?;
-            trees.push(round);
+        let n_trees = n_rounds.saturating_mul(n_classes);
+        let mut trees = Vec::with_capacity(n_trees.min(r.remaining()));
+        for _ in 0..n_trees {
+            let tree = RegressionTree::decode(r)?;
+            check_width(tree.n_features(), n_features)?;
+            trees.push(tree);
         }
         Ok(GbdtClassifier {
             trees,
@@ -980,7 +970,7 @@ mod tests {
                 }
                 round.push(tree);
             }
-            trees.push(round);
+            trees.extend(round);
         }
         GbdtClassifier {
             trees,
@@ -1088,6 +1078,85 @@ mod tests {
                 want,
                 "{workers}-worker {n_classes}-class classifier, {cfg:?}"
             );
+        }
+    }
+
+    /// The node walk's prediction after `m`'s first `k` trees, summed as
+    /// `predict_row_staged` summed them over node lists.
+    fn node_walk_staged(m: &GbdtRegressor, k: usize) -> impl Fn(&[f64]) -> f64 + '_ {
+        let nodes: Vec<_> = m
+            .trees
+            .iter()
+            .take(k)
+            .map(reference::regression_nodes)
+            .collect();
+        move |row| m.base + m.lr * nodes.iter().map(|n| *reference::leaf(n, row)).sum::<f64>()
+    }
+
+    /// The node walk's class scores, accumulated as `scores_row` did over
+    /// `trees[round][class]`.
+    fn node_walk_scores(m: &GbdtClassifier) -> impl Fn(&[f64]) -> Vec<f64> + '_ {
+        let nodes: Vec<_> = m.trees.iter().map(reference::regression_nodes).collect();
+        move |row| {
+            let mut s = m.priors.clone();
+            for round in nodes.chunks(m.n_classes) {
+                for (k, tree) in round.iter().enumerate() {
+                    s[k] += m.lr * reference::leaf(tree, row);
+                }
+            }
+            s
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn flat_forest_predictions_equal_the_node_walks_bit_for_bit() {
+        for seed in 0..4u64 {
+            let (xs, ys) = reference::tie_heavy_data(seed, 80 + 29 * seed as usize);
+            let rows = reference::probe_rows(&xs);
+            // 21 trees: two full walks of eight, then five trees alone.
+            let cfg = GbdtConfig {
+                n_estimators: 21,
+                max_depth: 2 + seed as usize,
+                learning_rate: 0.3,
+                min_samples_leaf: 2,
+                subsample: 0.8,
+                seed,
+            };
+            let fresh = GbdtRegressor::fit(&xs, &ys, &cfg);
+            let decoded = GbdtRegressor::decode(&mut ByteReader::new(&encoded(&fresh))).unwrap();
+            for m in [&fresh, &decoded] {
+                for k in [0, 1, 7, 8, 9, 16, 21, 30] {
+                    let want = node_walk_staged(m, k);
+                    for row in &rows {
+                        let got = m.predict_row_staged(row, k);
+                        assert_eq!(got.to_bits(), want(row).to_bits(), "{k} trees, {row:?}");
+                    }
+                }
+                let want = node_walk_staged(m, m.n_trees());
+                for row in &rows {
+                    assert_eq!(m.predict_row(row).to_bits(), want(row).to_bits(), "{row:?}");
+                }
+            }
+            for n_classes in 2..=5 {
+                let labels = quantile_labels(&ys, n_classes);
+                let fresh = GbdtClassifier::fit(&xs, &labels, n_classes, &cfg);
+                let mut w = ByteWriter::new();
+                fresh.encode(&mut w);
+                let decoded = GbdtClassifier::decode(&mut ByteReader::new(&w.into_bytes()));
+                for m in [&fresh, &decoded.unwrap()] {
+                    let want = node_walk_scores(m);
+                    for row in &rows {
+                        let mut p = want(row);
+                        assert_eq!(bits(&m.scores_row(row)), bits(&p), "{n_classes} classes");
+                        softmax(&mut p);
+                        assert_eq!(bits(&m.predict_proba_row(row)), bits(&p));
+                    }
+                }
+            }
         }
     }
 

@@ -26,8 +26,12 @@
 //! own features, and the caller merges the per-feature best splits in
 //! feature order under the criterion's strict comparison, so a tree is the
 //! same for any team size. Boosting keeps one team for the whole fit;
-//! forest trees, which already grow side by side, use a team of one, run
-//! inline.
+//! forest trees, which `forest::bag` grows one after another on one
+//! thread, use a team of one, run inline.
+//!
+//! A tree is stored as flat pre-order arrays (`Flat`) and predicts by a
+//! walk of fixed length that does not branch on the data; forests and
+//! boosted models walk several trees at once (`leaf_values`).
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::team::{self, Team};
@@ -61,124 +65,192 @@ impl Default for TreeConfig {
     }
 }
 
-/// A tree node holding leaf payload `L`. Nodes are stored in pre-order, so
-/// children always follow their parent.
+/// One slot of a flat tree. A split's `children` are its left and right
+/// child; both of a leaf's point back at the leaf itself, so a walk that
+/// steps on from a leaf stays there. `value` is a leaf's payload or, at a
+/// split, its gain (for feature importance; Gini trees keep no gain).
+#[derive(Debug, Clone, Copy)]
+struct Slot<V> {
+    threshold: f64,
+    feature: u32,
+    children: [u32; 2],
+    value: V,
+}
+
+impl<V> Slot<V> {
+    /// Slot `i` as a leaf holding `value`.
+    fn leaf(i: u32, value: V) -> Self {
+        Slot {
+            threshold: 0.0,
+            feature: 0,
+            children: [i; 2],
+            value,
+        }
+    }
+}
+
+/// A tree as one pre-order array of [`Slot`]s (slot 0 is the root and
+/// children always follow their parent, as the builder emits them and the
+/// codec stores them) and its depth, the longest root-to-leaf path.
+///
+/// A walk takes exactly `depth` steps, each picking a child by index with
+/// `!(x <= threshold)` as the side, so no step branches on the data (NaN
+/// goes right) and a shorter path just sits on its leaf. [`leaf_values`]
+/// steps through several trees at once, so their loads overlap (Asadi, Lin
+/// & de Vries, "Runtime Optimizations for Tree-Based Machine Learning
+/// Models", IEEE TKDE 2014).
 #[derive(Debug, Clone)]
-enum Node<L> {
-    Leaf(L),
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// Gain achieved by this split (for feature importance). Gini trees
-        /// report no importance and keep 0.
-        gain: f64,
-        left: usize,
-        right: usize,
-    },
+pub(crate) struct Flat<V> {
+    slots: Vec<Slot<V>>,
+    depth: usize,
 }
 
-/// The leaf that `row` falls into.
-fn leaf<'a, L>(nodes: &'a [Node<L>], row: &[f64]) -> &'a L {
-    let mut i = 0;
-    loop {
-        match &nodes[i] {
-            Node::Leaf(payload) => return payload,
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-                ..
-            } => {
-                i = if row[*feature] <= *threshold {
-                    *left
-                } else {
-                    *right
-                };
-            }
-        }
+impl<V: Copy> Flat<V> {
+    fn is_leaf(&self, i: usize) -> bool {
+        self.slots[i].children[0] as usize == i
     }
-}
 
-/// Serialize `nodes` as a count and a flat array, one tag byte per node.
-/// Splits carry their gain only when `with_gain` is set.
-fn encode_nodes<L>(
-    w: &mut ByteWriter,
-    nodes: &[Node<L>],
-    with_gain: bool,
-    put_leaf: impl Fn(&mut ByteWriter, &L),
-) {
-    w.put_len(nodes.len());
-    for n in nodes {
-        match n {
-            Node::Leaf(payload) => {
+    /// The slot after `at` on `row`'s path.
+    #[inline(always)]
+    fn step(slots: &[Slot<V>], at: u32, row: &[f64]) -> u32 {
+        let s = &slots[at as usize];
+        // `<=` is false for NaN, so NaN goes right.
+        let left = row[s.feature as usize] <= s.threshold;
+        s.children[usize::from(!left)]
+    }
+
+    /// Serialize as a count and one tagged record per slot; `put_gain`
+    /// writes a split's gain (or nothing).
+    fn encode(
+        &self,
+        w: &mut ByteWriter,
+        put_leaf: impl Fn(&mut ByteWriter, V),
+        put_gain: impl Fn(&mut ByteWriter, V),
+    ) {
+        w.put_len(self.slots.len());
+        for (i, s) in self.slots.iter().enumerate() {
+            if self.is_leaf(i) {
                 w.put_u8(0);
-                put_leaf(w, payload);
-            }
-            Node::Split {
-                feature,
-                threshold,
-                gain,
-                left,
-                right,
-            } => {
+                put_leaf(w, s.value);
+            } else {
                 w.put_u8(1);
-                w.put_len(*feature);
-                w.put_f64(*threshold);
-                if with_gain {
-                    w.put_f64(*gain);
-                }
-                w.put_len(*left);
-                w.put_len(*right);
+                w.put_len(s.feature as usize);
+                w.put_f64(s.threshold);
+                put_gain(w, s.value);
+                w.put_len(s.children[0] as usize);
+                w.put_len(s.children[1] as usize);
             }
         }
     }
+
+    /// Inverse of [`Self::encode`]. Child and feature indices are validated
+    /// so a decoded tree can never panic or loop during prediction: every
+    /// child must come after its parent and be in range.
+    fn decode(
+        r: &mut ByteReader<'_>,
+        n_features: usize,
+        what: &'static str,
+        mut get_leaf: impl FnMut(&mut ByteReader<'_>) -> Result<V, CodecError>,
+        get_gain: impl Fn(&mut ByteReader<'_>) -> Result<V, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let count = r.len()?;
+        if count == 0 {
+            return Err(CodecError::Invalid("tree with zero nodes".into()));
+        }
+        let index =
+            |i: usize| u32::try_from(i).map_err(|_| CodecError::Invalid(format!("node index {i}")));
+        let mut slots = Vec::with_capacity(count.min(r.remaining()));
+        for i in 0..count {
+            slots.push(match r.u8()? {
+                0 => Slot::leaf(index(i)?, get_leaf(r)?),
+                1 => {
+                    let feature = r.len()?;
+                    let threshold = r.f64()?;
+                    let value = get_gain(r)?;
+                    let left = r.len()?;
+                    let right = r.len()?;
+                    let children_follow = i < left.min(right) && left.max(right) < count;
+                    if feature >= n_features || !children_follow {
+                        return Err(CodecError::Invalid(format!(
+                            "node {i} splits on feature {feature} of {n_features} into nodes \
+                             {left}/{right} of {count}: children must follow their parent"
+                        )));
+                    }
+                    Slot {
+                        threshold,
+                        feature: index(feature)?,
+                        children: [index(left)?, index(right)?],
+                        value,
+                    }
+                }
+                tag => return Err(CodecError::BadTag { what, tag }),
+            });
+        }
+        Ok(Flat {
+            depth: depth(&slots),
+            slots,
+        })
+    }
 }
 
-/// Inverse of [`encode_nodes`]. Child and feature indices are validated so
-/// a decoded tree can never panic or loop during prediction: the builder
-/// emits nodes in pre-order, so every child must come after its parent and
-/// be in range.
-fn decode_nodes<L>(
-    r: &mut ByteReader<'_>,
-    n_features: usize,
-    with_gain: bool,
-    what: &'static str,
-    get_leaf: impl Fn(&mut ByteReader<'_>) -> Result<L, CodecError>,
-) -> Result<Vec<Node<L>>, CodecError> {
-    let count = r.len()?;
-    if count == 0 {
-        return Err(CodecError::Invalid("tree with zero nodes".into()));
-    }
-    let mut nodes = Vec::with_capacity(count.min(r.remaining()));
-    for i in 0..count {
-        nodes.push(match r.u8()? {
-            0 => Node::Leaf(get_leaf(r)?),
-            1 => {
-                let feature = r.len()?;
-                let threshold = r.f64()?;
-                let gain = if with_gain { r.f64()? } else { 0.0 };
-                let left = r.len()?;
-                let right = r.len()?;
-                let children_follow = i < left.min(right) && left.max(right) < count;
-                if feature >= n_features || !children_follow {
-                    return Err(CodecError::Invalid(format!(
-                        "node {i} splits on feature {feature} of {n_features} into nodes \
-                         {left}/{right} of {count}: children must follow their parent"
-                    )));
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    gain,
-                    left,
-                    right,
-                }
+/// The steps that take every path from slot 0 to its leaf, in slots whose
+/// children follow their parent: one forward pass finds each slot's
+/// longest path from the root, as all its parents come before it.
+fn depth<V>(slots: &[Slot<V>]) -> usize {
+    let mut from_root = vec![0usize; slots.len()];
+    for (i, s) in slots.iter().enumerate() {
+        for c in s.children.map(|c| c as usize) {
+            if c != i {
+                from_root[c] = from_root[c].max(from_root[i] + 1);
             }
-            tag => return Err(CodecError::BadTag { what, tag }),
-        });
+        }
     }
-    Ok(nodes)
+    from_root.into_iter().max().unwrap_or(0)
+}
+
+/// A tree the flat walk steps through.
+pub(crate) trait Walk {
+    /// What its slots hold.
+    type Value: Copy;
+    fn flat(&self) -> &Flat<Self::Value>;
+}
+
+/// How many trees one walk steps through side by side.
+const LANES: usize = 8;
+
+/// Pass the leaf value each of `trees` gives `row` to `each(tree, value)`,
+/// in tree order. Trees are walked [`LANES`] at a time.
+pub(crate) fn leaf_values<T: Walk>(
+    trees: &[T],
+    row: &[f64],
+    mut each: impl FnMut(usize, T::Value),
+) {
+    let mut lanes = trees.chunks_exact(LANES);
+    for (c, chunk) in lanes.by_ref().enumerate() {
+        let chunk: &[T; LANES] = chunk.try_into().expect("a full chunk");
+        for (k, value) in walk(chunk, row).into_iter().enumerate() {
+            each(c * LANES + k, value);
+        }
+    }
+    let done = trees.len() - lanes.remainder().len();
+    for (k, tree) in lanes.remainder().iter().enumerate() {
+        let [value] = walk(std::array::from_ref(tree), row);
+        each(done + k, value);
+    }
+}
+
+/// The leaf values `trees` give `row`, one step of every tree in turn.
+#[inline(always)]
+fn walk<T: Walk, const N: usize>(trees: &[T; N], row: &[f64]) -> [T::Value; N] {
+    let slots = trees.each_ref().map(|t| &t.flat().slots[..]);
+    let depth = trees.iter().map(|t| t.flat().depth).max().unwrap_or(0);
+    let mut at = [0u32; N];
+    for _ in 0..depth {
+        for (a, slots) in at.iter_mut().zip(slots) {
+            *a = Flat::step(slots, *a, row);
+        }
+    }
+    std::array::from_fn(|k| slots[k][at[k] as usize].value)
 }
 
 /// Reject a decoded tree whose feature count differs from the one its
@@ -195,8 +267,15 @@ pub(crate) fn check_width(tree_features: usize, model_features: usize) -> Result
 /// Gradient-fitted regression tree.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
-    nodes: Vec<Node<f64>>,
+    flat: Flat<f64>,
     n_features: usize,
+}
+
+impl Walk for RegressionTree {
+    type Value = f64;
+    fn flat(&self) -> &Flat<f64> {
+        &self.flat
+    }
 }
 
 /// Training rows stored feature-major, with each value's dense rank under
@@ -553,7 +632,16 @@ impl RegressionTree {
         let mut orders = RowOrders::new(cols.n_features(), rows.len());
         let crit = GradientGain { g, h };
         RegressionTree {
-            nodes: grow_tree(&cols, &mut orders, Some(&rows), crit, cfg, rng, workers),
+            flat: grow_tree(
+                &cols,
+                &mut orders,
+                Some(&rows),
+                crit,
+                cfg,
+                rng,
+                workers,
+                |v| v,
+            ),
             n_features: cols.n_features(),
         }
     }
@@ -573,7 +661,7 @@ impl RegressionTree {
         assert_eq!(cols.n_rows, h.len(), "rows/h length mismatch");
         let crit = GradientGain { g, h };
         RegressionTree {
-            nodes: grow_tree(cols, orders, None, crit, cfg, rng, 1),
+            flat: grow_tree(cols, orders, None, crit, cfg, rng, 1, |v| v),
             n_features: cols.n_features(),
         }
     }
@@ -595,7 +683,7 @@ impl RegressionTree {
             "rows/h length mismatch"
         );
         RegressionTree {
-            nodes: grow(team, tree, None),
+            flat: grow(team, tree, None, |v| v),
             n_features: tree.cols.n_features(),
         }
     }
@@ -609,7 +697,7 @@ impl RegressionTree {
 
     /// Predict for one row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        *leaf(&self.nodes, row)
+        walk(std::array::from_ref(self), row)[0]
     }
 
     /// Predict for many rows.
@@ -619,16 +707,17 @@ impl RegressionTree {
 
     /// Accumulate this tree's split gains into `importance[feature]`.
     pub fn add_importance(&self, importance: &mut [f64]) {
-        for n in &self.nodes {
-            if let Node::Split { feature, gain, .. } = n {
-                importance[*feature] += gain.max(0.0);
+        let flat = &self.flat;
+        for (i, s) in flat.slots.iter().enumerate() {
+            if !flat.is_leaf(i) {
+                importance[s.feature as usize] += s.value.max(0.0);
             }
         }
     }
 
     /// Number of nodes (diagnostics).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.flat.slots.len()
     }
 
     pub(crate) fn n_features(&self) -> usize {
@@ -638,29 +727,40 @@ impl RegressionTree {
     /// Serialize as a flat node array (tag byte per node).
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_len(self.n_features);
-        encode_nodes(w, &self.nodes, true, |w, value| w.put_f64(*value));
+        let put = |w: &mut ByteWriter, value| w.put_f64(value);
+        self.flat.encode(w, put, put);
     }
 
     /// Inverse of [`Self::encode`], with index validation: a decoded tree
     /// can never panic or loop during prediction.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n_features = r.len()?;
-        let nodes = decode_nodes(r, n_features, true, "tree node", |r| r.f64())?;
-        Ok(RegressionTree { nodes, n_features })
+        let flat = Flat::decode(r, n_features, "tree node", |r| r.f64(), |r| r.f64())?;
+        Ok(RegressionTree { flat, n_features })
     }
 }
 
 /// Gini-impurity classification tree with majority-vote leaves.
 #[derive(Debug, Clone)]
 pub struct ClassificationTree {
-    nodes: Vec<Node<ClassLeaf>>,
+    /// Each leaf slot holds the number of its leaf in `leaves`.
+    flat: Flat<u32>,
+    /// The leaves in pre-order.
+    leaves: Vec<ClassLeaf>,
     n_features: usize,
     n_classes: usize,
 }
 
+impl Walk for ClassificationTree {
+    type Value = u32;
+    fn flat(&self) -> &Flat<u32> {
+        &self.flat
+    }
+}
+
 /// A classification leaf: the majority class and the class frequencies.
 #[derive(Debug, Clone)]
-struct ClassLeaf {
+pub(crate) struct ClassLeaf {
     class: usize,
     proba: Vec<f64>,
 }
@@ -693,21 +793,42 @@ impl ClassificationTree {
     ) -> Self {
         assert_eq!(cols.n_rows, ys.len(), "rows/ys length mismatch");
         let crit = Gini { ys, n_classes };
+        let mut leaves = Vec::new();
+        let flat = grow_tree(cols, orders, None, crit, cfg, rng, 1, |leaf| {
+            leaves.push(leaf);
+            slot_index(leaves.len() - 1)
+        });
+        leaves.shrink_to_fit();
         ClassificationTree {
-            nodes: grow_tree(cols, orders, None, crit, cfg, rng, 1),
+            flat,
+            leaves,
             n_features: cols.n_features(),
             n_classes,
         }
     }
 
+    fn leaf(&self, row: &[f64]) -> &ClassLeaf {
+        self.leaf_of(walk(std::array::from_ref(self), row)[0])
+    }
+
+    /// The leaf a walk ended on.
+    fn leaf_of(&self, value: u32) -> &ClassLeaf {
+        &self.leaves[value as usize]
+    }
+
+    /// The class of the leaf a walk ended on (see [`leaf_values`]).
+    pub(crate) fn class_of(&self, value: u32) -> usize {
+        self.leaf_of(value).class
+    }
+
     /// Predicted class for one row.
     pub fn predict_row(&self, row: &[f64]) -> usize {
-        leaf(&self.nodes, row).class
+        self.leaf(row).class
     }
 
     /// Class probabilities for one row (leaf class frequencies).
     pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        leaf(&self.nodes, row).proba.clone()
+        self.leaf(row).proba.clone()
     }
 
     /// Predicted classes for many rows.
@@ -727,10 +848,12 @@ impl ClassificationTree {
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_len(self.n_features);
         w.put_len(self.n_classes);
-        encode_nodes(w, &self.nodes, false, |w, leaf| {
+        let put_leaf = |w: &mut ByteWriter, value| {
+            let leaf = self.leaf_of(value);
             w.put_len(leaf.class);
             w.put_f64s(&leaf.proba);
-        });
+        };
+        self.flat.encode(w, put_leaf, |_, _| {});
     }
 
     /// Inverse of [`Self::encode`], with the same index validation as
@@ -738,7 +861,8 @@ impl ClassificationTree {
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n_features = r.len()?;
         let n_classes = r.len()?;
-        let nodes = decode_nodes(r, n_features, false, "ctree node", |r| {
+        let mut leaves = Vec::new();
+        let get_leaf = |r: &mut ByteReader<'_>| {
             let class = r.len()?;
             let proba = r.f64s()?;
             if class >= n_classes || proba.len() != n_classes {
@@ -747,10 +871,13 @@ impl ClassificationTree {
                     proba.len()
                 )));
             }
-            Ok(ClassLeaf { class, proba })
-        })?;
+            leaves.push(ClassLeaf { class, proba });
+            Ok(slot_index(leaves.len() - 1))
+        };
+        let flat = Flat::decode(r, n_features, "ctree node", get_leaf, |_| Ok(0))?;
         Ok(ClassificationTree {
-            nodes,
+            flat,
+            leaves,
             n_features,
             n_classes,
         })
@@ -762,6 +889,8 @@ impl ClassificationTree {
 /// node emission are [`Grower`]'s.
 pub(crate) trait Criterion: Sync {
     type Leaf;
+    /// What the tree's slots hold.
+    type Value: Copy;
     /// A node's totals, summed in the order of `idx` (it fixes their bits).
     type Totals: Clone + Send + Sync;
     /// The left side's running totals while one feature is swept.
@@ -777,8 +906,8 @@ pub(crate) trait Criterion: Sync {
     /// Whether `score` beats `best` (the best so far; `None` before any).
     /// Strict, so the first of equal candidates wins.
     fn beats(t: &Self::Totals, score: f64, best: Option<f64>) -> bool;
-    /// The gain a split node records (for feature importance).
-    fn gain(score: f64) -> f64;
+    /// What a split's slot holds: its gain, for feature importance.
+    fn split_value(score: f64) -> Self::Value;
 }
 
 /// Second-order gradient gain; leaves are the Newton step `−Σg / Σh`.
@@ -792,6 +921,7 @@ pub(crate) type GradientTotals = (f64, f64, f64);
 
 impl Criterion for GradientGain<'_> {
     type Leaf = f64;
+    type Value = f64;
     type Totals = GradientTotals;
     /// `(Σg, Σh)` of the left side.
     type Sweep = (f64, f64);
@@ -840,7 +970,7 @@ impl Criterion for GradientGain<'_> {
         gain > best.unwrap_or(-1e-12)
     }
 
-    fn gain(score: f64) -> f64 {
+    fn split_value(score: f64) -> f64 {
         score
     }
 }
@@ -869,6 +999,8 @@ fn gini(counts: impl Iterator<Item = f64> + Clone) -> f64 {
 
 impl Criterion for Gini<'_> {
     type Leaf = ClassLeaf;
+    /// A leaf's number; splits keep no gain.
+    type Value = u32;
     type Totals = ClassTotals;
     /// Class counts of the left side.
     type Sweep = Vec<f64>;
@@ -918,8 +1050,8 @@ impl Criterion for Gini<'_> {
         w < best.unwrap_or(t.parent_gini + 1e-12)
     }
 
-    fn gain(_: f64) -> f64 {
-        0.0
+    fn split_value(_: f64) -> u32 {
+        0
     }
 }
 
@@ -927,9 +1059,11 @@ impl Criterion for Gini<'_> {
 pub(crate) type TreeTeam<'w, 'o, T> = Team<'w, Shard<'o>, Job<T>>;
 
 /// Grow one tree on a team of its own with `workers` (one for forests,
-/// whose trees already grow side by side), over `orders`, which first
-/// orders `rows` when they are given.
+/// whose trees grow one after another on one thread), over `orders`, which
+/// first orders `rows` when they are given. `leaf` turns each leaf, in
+/// pre-order, into its slot's value.
 /// `orders` is partitioned in place and holds no useful order afterwards.
+#[allow(clippy::too_many_arguments)]
 fn grow_tree<C: Criterion>(
     cols: &RankedColumns,
     orders: &mut RowOrders,
@@ -938,7 +1072,8 @@ fn grow_tree<C: Criterion>(
     cfg: &TreeConfig,
     rng: Option<&mut StdRng>,
     workers: usize,
-) -> Vec<Node<C::Leaf>> {
+    leaf: impl FnMut(C::Leaf) -> C::Value,
+) -> Flat<C::Value> {
     let shards = orders.shards(cols, workers, false);
     let split = Split::new(cols, &shards);
     let tree = Tree {
@@ -953,20 +1088,25 @@ fn grow_tree<C: Criterion>(
         if rows.is_some() {
             team.run(&Job::Orders, work);
         }
-        grow(team, &tree, rng)
+        grow(team, &tree, rng, leaf)
     })
 }
 
 /// Grow one tree on `team`, whose shards hold the ordered rows, and
-/// return its nodes.
+/// return its slots; `leaf` turns each leaf into its slot's value.
 fn grow<C: Criterion>(
     team: &TreeTeam<'_, '_, C::Totals>,
     tree: &Tree<'_, C>,
     rng: Option<&mut StdRng>,
-) -> Vec<Node<C::Leaf>> {
+    leaf: impl FnMut(C::Leaf) -> C::Value,
+) -> Flat<C::Value> {
     let len = team.shard(0).len;
     let mut grower = Grower {
-        nodes: Vec::new(),
+        flat: Flat {
+            slots: Vec::new(),
+            depth: 0,
+        },
+        leaf,
         team,
         tree,
         rng,
@@ -974,8 +1114,13 @@ fn grow<C: Criterion>(
     grower.build(0, len, 0);
     // A boosted model or a forest keeps hundreds of trees: hold no spare
     // capacity.
-    grower.nodes.shrink_to_fit();
-    grower.nodes
+    grower.flat.slots.shrink_to_fit();
+    grower.flat
+}
+
+/// Slot (or leaf) `i`'s index as the flat arrays store it.
+fn slot_index(i: usize) -> u32 {
+    u32::try_from(i).expect("a tree's slots are numbered in u32")
 }
 
 /// One tree's growth on the caller's side. A node owns the range
@@ -990,17 +1135,18 @@ fn grow<C: Criterion>(
 /// those in candidate order under the same strict comparison, which picks
 /// the split a single sweep over every candidate would, ties included.
 /// The tree is thus the same for any team size.
-struct Grower<'t, 'w, 'o, 'a, C: Criterion> {
-    nodes: Vec<Node<C::Leaf>>,
+struct Grower<'t, 'w, 'o, 'a, C: Criterion, F> {
+    flat: Flat<C::Value>,
+    leaf: F,
     team: &'t TreeTeam<'w, 'o, C::Totals>,
     tree: &'t Tree<'a, C>,
     rng: Option<&'t mut StdRng>,
 }
 
-impl<C: Criterion> Grower<'_, '_, '_, '_, C> {
-    /// Grow the subtree over `[lo, hi)` and return its root's index. Nodes
+impl<C: Criterion, F: FnMut(C::Leaf) -> C::Value> Grower<'_, '_, '_, '_, C, F> {
+    /// Grow the subtree over `[lo, hi)` and return its root's slot. Slots
     /// are emitted in pre-order, so children always follow their parent.
-    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
         let (team, cfg, crit) = (self.team, self.tree.cfg, &self.tree.crit);
         let n = hi - lo;
         let (totals, stop) = {
@@ -1013,7 +1159,7 @@ impl<C: Criterion> Grower<'_, '_, '_, '_, C> {
             (totals, stop)
         };
         if stop {
-            return self.push(Node::Leaf(crit.leaf(&totals)));
+            return self.push_leaf(crit.leaf(&totals), depth);
         }
 
         self.draw_candidates();
@@ -1026,27 +1172,32 @@ impl<C: Criterion> Grower<'_, '_, '_, '_, C> {
         };
         team.run(&search, work);
         let Some((feature, threshold, score)) = self.best(&totals) else {
-            return self.push(Node::Leaf(crit.leaf(&totals)));
+            return self.push_leaf(crit.leaf(&totals), depth);
         };
         let mid = lo + self.split_sides(feature, threshold, lo, hi);
         team.run(&Job::Partition { lo, hi }, work);
-        let split = |left, right| Node::Split {
-            feature,
+        let node = self.push(Slot {
             threshold,
-            gain: C::gain(score),
-            left,
-            right,
-        };
-        let node = self.push(split(0, 0)); // children filled in below
+            feature: slot_index(feature),
+            children: [0; 2], // filled in below
+            value: C::split_value(score),
+        });
         let left = self.build(lo, mid, depth + 1);
         let right = self.build(mid, hi, depth + 1);
-        self.nodes[node] = split(left, right);
+        self.flat.slots[node as usize].children = [left, right];
         node
     }
 
-    fn push(&mut self, n: Node<C::Leaf>) -> usize {
-        self.nodes.push(n);
-        self.nodes.len() - 1
+    fn push_leaf(&mut self, leaf: C::Leaf, depth: usize) -> u32 {
+        let i = slot_index(self.flat.slots.len());
+        let value = (self.leaf)(leaf);
+        self.flat.depth = self.flat.depth.max(depth);
+        self.push(Slot::leaf(i, value))
+    }
+
+    fn push(&mut self, slot: Slot<C::Value>) -> u32 {
+        self.flat.slots.push(slot);
+        slot_index(self.flat.slots.len() - 1)
     }
 
     /// With an RNG (forests), a random subspace of `max_features` features
@@ -1108,14 +1259,196 @@ impl<C: Criterion> Grower<'_, '_, '_, '_, C> {
     }
 }
 
-/// The presort-and-partition CART builders that the rank-sorted builder
-/// replaced, kept verbatim as the oracles the bit-identity tests compare against.
+/// The oracles the bit-identity tests compare against, kept verbatim: the
+/// presort-and-partition CART builders that the rank-sorted builder
+/// replaced, and the node lists, with their codec and branchy walk, that
+/// the flat arrays replaced.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{ClassLeaf, ClassificationTree, Node, RegressionTree, TreeConfig};
+    use super::{ClassLeaf, ClassificationTree, RegressionTree, TreeConfig};
+    use crate::codec::{ByteReader, ByteWriter, CodecError};
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+
+    /// A tree node holding leaf payload `L`. Nodes are stored in pre-order, so
+    /// children always follow their parent.
+    #[derive(Debug, Clone)]
+    pub(crate) enum Node<L> {
+        Leaf(L),
+        Split {
+            feature: usize,
+            threshold: f64,
+            /// Gain achieved by this split (for feature importance). Gini trees
+            /// report no importance and keep 0.
+            gain: f64,
+            left: usize,
+            right: usize,
+        },
+    }
+
+    /// The leaf that `row` falls into.
+    pub(crate) fn leaf<'a, L>(nodes: &'a [Node<L>], row: &[f64]) -> &'a L {
+        let mut i = 0;
+        loop {
+            match &nodes[i] {
+                Node::Leaf(payload) => return payload,
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                    ..
+                } => {
+                    i = if row[*feature] <= *threshold {
+                        *left
+                    } else {
+                        *right
+                    };
+                }
+            }
+        }
+    }
+
+    /// Serialize `nodes` as a count and a flat array, one tag byte per node.
+    /// Splits carry their gain only when `with_gain` is set.
+    fn encode_nodes<L>(
+        w: &mut ByteWriter,
+        nodes: &[Node<L>],
+        with_gain: bool,
+        put_leaf: impl Fn(&mut ByteWriter, &L),
+    ) {
+        w.put_len(nodes.len());
+        for n in nodes {
+            match n {
+                Node::Leaf(payload) => {
+                    w.put_u8(0);
+                    put_leaf(w, payload);
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    gain,
+                    left,
+                    right,
+                } => {
+                    w.put_u8(1);
+                    w.put_len(*feature);
+                    w.put_f64(*threshold);
+                    if with_gain {
+                        w.put_f64(*gain);
+                    }
+                    w.put_len(*left);
+                    w.put_len(*right);
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`encode_nodes`]. Child and feature indices are validated so
+    /// a decoded tree can never panic or loop during prediction: the builder
+    /// emits nodes in pre-order, so every child must come after its parent and
+    /// be in range.
+    fn decode_nodes<L>(
+        r: &mut ByteReader<'_>,
+        n_features: usize,
+        with_gain: bool,
+        what: &'static str,
+        get_leaf: impl Fn(&mut ByteReader<'_>) -> Result<L, CodecError>,
+    ) -> Result<Vec<Node<L>>, CodecError> {
+        let count = r.len()?;
+        if count == 0 {
+            return Err(CodecError::Invalid("tree with zero nodes".into()));
+        }
+        let mut nodes = Vec::with_capacity(count.min(r.remaining()));
+        for i in 0..count {
+            nodes.push(match r.u8()? {
+                0 => Node::Leaf(get_leaf(r)?),
+                1 => {
+                    let feature = r.len()?;
+                    let threshold = r.f64()?;
+                    let gain = if with_gain { r.f64()? } else { 0.0 };
+                    let left = r.len()?;
+                    let right = r.len()?;
+                    let children_follow = i < left.min(right) && left.max(right) < count;
+                    if feature >= n_features || !children_follow {
+                        return Err(CodecError::Invalid(format!(
+                            "node {i} splits on feature {feature} of {n_features} into nodes \
+                             {left}/{right} of {count}: children must follow their parent"
+                        )));
+                    }
+                    Node::Split {
+                        feature,
+                        threshold,
+                        gain,
+                        left,
+                        right,
+                    }
+                }
+                tag => return Err(CodecError::BadTag { what, tag }),
+            });
+        }
+        Ok(nodes)
+    }
+
+    fn put_class_leaf(w: &mut ByteWriter, leaf: &ClassLeaf) {
+        w.put_len(leaf.class);
+        w.put_f64s(&leaf.proba);
+    }
+
+    fn get_class_leaf(r: &mut ByteReader<'_>) -> Result<ClassLeaf, CodecError> {
+        Ok(ClassLeaf {
+            class: r.len()?,
+            proba: r.f64s()?,
+        })
+    }
+
+    /// The tree that `nodes` encode to, decoded into flat arrays.
+    fn regression_tree(nodes: &[Node<f64>], n_features: usize) -> RegressionTree {
+        let mut w = ByteWriter::new();
+        w.put_len(n_features);
+        encode_nodes(&mut w, nodes, true, |w, value| w.put_f64(*value));
+        RegressionTree::decode(&mut ByteReader::new(&w.into_bytes())).expect("reference tree")
+    }
+
+    /// [`regression_tree`] for a Gini tree.
+    fn classification_tree(
+        nodes: &[Node<ClassLeaf>],
+        n_features: usize,
+        n_classes: usize,
+    ) -> ClassificationTree {
+        let mut w = ByteWriter::new();
+        w.put_len(n_features);
+        w.put_len(n_classes);
+        encode_nodes(&mut w, nodes, false, put_class_leaf);
+        ClassificationTree::decode(&mut ByteReader::new(&w.into_bytes())).expect("reference tree")
+    }
+
+    /// `tree`'s nodes, decoded from its encoding by the node-list decoder.
+    pub(crate) fn regression_nodes(tree: &RegressionTree) -> Vec<Node<f64>> {
+        let mut w = ByteWriter::new();
+        tree.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let n_features = r.len().expect("width");
+        decode_nodes(&mut r, n_features, true, "tree node", |r| r.f64()).expect("nodes")
+    }
+
+    /// [`regression_nodes`] for a Gini tree.
+    pub(crate) fn classification_nodes(tree: &ClassificationTree) -> Vec<Node<ClassLeaf>> {
+        let mut w = ByteWriter::new();
+        tree.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let n_features = r.len().expect("width");
+        let _n_classes = r.len().expect("classes");
+        decode_nodes(&mut r, n_features, false, "ctree node", get_class_leaf).expect("nodes")
+    }
+
+    /// The class of the leaf the node walk takes `row` to.
+    pub(crate) fn class(nodes: &[Node<ClassLeaf>], row: &[f64]) -> usize {
+        leaf(nodes, row).class
+    }
 
     /// The former `RegressionTree::fit_gradients`: sorts every feature for
     /// this tree, then allocates two index lists per feature per split.
@@ -1127,9 +1460,10 @@ pub(crate) mod reference {
         rng: Option<&mut StdRng>,
     ) -> RegressionTree {
         let n_features = xs[0].len();
-        let mut tree = RegressionTree {
+        let mut tree = Building {
             nodes: Vec::new(),
             n_features,
+            n_classes: 0,
         };
         let orders: Vec<Vec<usize>> = (0..n_features)
             .map(|f| {
@@ -1140,7 +1474,14 @@ pub(crate) mod reference {
             .collect();
         let mut local_rng = rng;
         build(&mut tree, xs, g, h, orders, 0, cfg, &mut local_rng);
-        tree
+        regression_tree(&tree.nodes, n_features)
+    }
+
+    /// A tree's nodes while a reference builder grows them.
+    struct Building<L> {
+        nodes: Vec<Node<L>>,
+        n_features: usize,
+        n_classes: usize,
     }
 
     /// Seeded rows with the value patterns that stress tie handling in the
@@ -1182,7 +1523,7 @@ pub(crate) mod reference {
 
     #[allow(clippy::too_many_arguments)]
     fn build(
-        tree: &mut RegressionTree,
+        tree: &mut Building<f64>,
         xs: &[Vec<f64>],
         g: &[f64],
         h: &[f64],
@@ -1284,6 +1625,24 @@ pub(crate) mod reference {
         nodes.len() - 1
     }
 
+    /// Rows to compare walks on: `xs` itself, then, for some of its rows,
+    /// each feature in turn set to NaN (either sign), ±0.0, ±∞ or half a
+    /// unit up, where integer columns keep their split thresholds.
+    pub(crate) fn probe_rows(xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut rows = xs.to_vec();
+        for x in xs.iter().step_by(7) {
+            for f in 0..x.len() {
+                let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY];
+                for v in specials.into_iter().chain([f64::NEG_INFINITY, x[f] + 0.5]) {
+                    let mut row = x.clone();
+                    row[f] = v;
+                    rows.push(row);
+                }
+            }
+        }
+        rows
+    }
+
     /// Labels in `0..3` from [`tie_heavy_data`]'s targets, cut at the
     /// paper's 300/700 Mbps class boundaries.
     pub(crate) fn tie_heavy_labels(ys: &[f64]) -> Vec<usize> {
@@ -1306,7 +1665,7 @@ pub(crate) mod reference {
         assert!(ys.iter().all(|&y| y < n_classes), "label out of range");
         let n_features = xs[0].len();
         assert!(n_features > 0, "need at least one feature");
-        let mut tree = ClassificationTree {
+        let mut tree = Building {
             nodes: Vec::new(),
             n_features,
             n_classes,
@@ -1320,10 +1679,10 @@ pub(crate) mod reference {
             .collect();
         let mut local_rng = rng;
         build_classification(&mut tree, xs, ys, orders, 0, cfg, &mut local_rng);
-        tree
+        classification_tree(&tree.nodes, n_features, n_classes)
     }
 
-    fn counts(tree: &ClassificationTree, ys: &[usize], idx: &[usize]) -> Vec<f64> {
+    fn counts(tree: &Building<ClassLeaf>, ys: &[usize], idx: &[usize]) -> Vec<f64> {
         let mut c = vec![0.0; tree.n_classes];
         for &i in idx {
             c[ys[i]] += 1.0;
@@ -1340,7 +1699,7 @@ pub(crate) mod reference {
     }
 
     fn build_classification(
-        tree: &mut ClassificationTree,
+        tree: &mut Building<ClassLeaf>,
         xs: &[Vec<f64>],
         ys: &[usize],
         orders: Vec<Vec<usize>>,
@@ -1538,10 +1897,10 @@ mod tests {
         let want = reference::fit_gradients(&xs, &g, &h, &cfg, None);
         for workers in TEAMS {
             let got = RegressionTree::fit_gradients_on(workers, &xs, &g, &h, &cfg, None);
+            let root = &got.flat.slots[0];
             assert!(
-                matches!(got.nodes[0], Node::Split { feature: 0, .. }),
-                "{workers} workers: root {:?}",
-                got.nodes[0]
+                !got.flat.is_leaf(0) && root.feature == 0,
+                "{workers} workers: root {root:?}"
             );
             assert_eq!(
                 encoded(|w| got.encode(w)),
@@ -1549,6 +1908,112 @@ mod tests {
                 "{workers} workers"
             );
         }
+    }
+
+    /// Assert that the flat walk takes every probe row to the leaf the node
+    /// walk does, on `tree` and on its decoded copy.
+    fn assert_walks_agree(tree: &RegressionTree, rows: &[Vec<f64>]) {
+        let decoded = RegressionTree::decode(&mut ByteReader::new(&encoded(|w| tree.encode(w))));
+        for tree in [tree, &decoded.expect("decodes")] {
+            let nodes = reference::regression_nodes(tree);
+            for row in rows {
+                let want = *reference::leaf(&nodes, row);
+                assert_eq!(tree.predict_row(row).to_bits(), want.to_bits(), "{row:?}");
+            }
+        }
+    }
+
+    /// [`assert_walks_agree`] for a Gini tree: the same class and class
+    /// frequencies.
+    fn assert_class_walks_agree(tree: &ClassificationTree, rows: &[Vec<f64>]) {
+        let bytes = encoded(|w| tree.encode(w));
+        let decoded = ClassificationTree::decode(&mut ByteReader::new(&bytes));
+        for tree in [tree, &decoded.expect("decodes")] {
+            let nodes = reference::classification_nodes(tree);
+            for row in rows {
+                let want = reference::leaf(&nodes, row);
+                assert_eq!(tree.predict_row(row), want.class, "{row:?}");
+                let bits = |p: Vec<f64>| p.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(tree.predict_proba_row(row)),
+                    bits(want.proba.clone()),
+                    "{row:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_walk_reaches_the_node_walks_leaf() {
+        use rand::SeedableRng;
+        for seed in 0..10u64 {
+            let (xs, ys) = reference::tie_heavy_data(seed, 50 + 31 * seed as usize);
+            let labels = reference::tie_heavy_labels(&ys);
+            let rows = reference::probe_rows(&xs);
+            // Depth 0 is a single leaf; deep trees on few rows are unbalanced.
+            for (max_depth, max_features) in [(0, None), (3, None), (12, None), (12, Some(3))] {
+                let cfg = TreeConfig {
+                    max_depth,
+                    min_samples_leaf: 1 + seed as usize % 3,
+                    min_samples_split: 2,
+                    max_features,
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let tree = RegressionTree::fit_gradients(
+                    &xs,
+                    &ys.iter().map(|y| -y).collect::<Vec<_>>(),
+                    &vec![1.0; ys.len()],
+                    &cfg,
+                    Some(&mut rng),
+                );
+                assert_eq!(tree.node_count() == 1, max_depth == 0);
+                assert_walks_agree(&tree, &rows);
+                let tree = ClassificationTree::fit(&xs, &labels, 3, &cfg, Some(&mut rng));
+                assert_class_walks_agree(&tree, &rows);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_walk_on_an_unbalanced_tree_stays_on_short_paths_leaves() {
+        // x0 <= 0.5 → leaf 1; else x1 <= 0.5 → (x0 <= 2 → leaf 4 | leaf 5) |
+        // leaf 6: paths of one, two and three steps.
+        let mut w = ByteWriter::new();
+        w.put_len(2); // n_features
+        w.put_len(7); // nodes
+        for (i, (feature, threshold, children)) in
+            [(0, 0.5, [1, 2]), (1, 0.5, [3, 6]), (0, 2.0, [4, 5])]
+                .into_iter()
+                .enumerate()
+        {
+            if i == 1 {
+                w.put_u8(0);
+                w.put_f64(10.0);
+            }
+            w.put_u8(1);
+            w.put_len(feature);
+            w.put_f64(threshold);
+            w.put_f64(1.0); // gain
+            w.put_len(children[0]);
+            w.put_len(children[1]);
+        }
+        for value in [40.0, 50.0, 60.0] {
+            w.put_u8(0);
+            w.put_f64(value);
+        }
+        let bytes = w.into_bytes();
+        let tree = RegressionTree::decode(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(tree.flat.depth, 3);
+        assert_eq!(encoded(|w| tree.encode(w)), bytes);
+        let grid = [f64::NAN, f64::NEG_INFINITY, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0];
+        let rows: Vec<Vec<f64>> = (grid.iter())
+            .flat_map(|&a| grid.iter().map(move |&b| vec![a, b]))
+            .collect();
+        assert_walks_agree(&tree, &rows);
+        assert_eq!(tree.predict_row(&[0.0, 9.0]), 10.0);
+        assert_eq!(tree.predict_row(&[1.0, 0.0]), 40.0);
+        assert_eq!(tree.predict_row(&[3.0, 0.0]), 50.0);
+        assert_eq!(tree.predict_row(&[f64::NAN, f64::NAN]), 60.0);
     }
 
     #[test]
