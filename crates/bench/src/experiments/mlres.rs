@@ -4,6 +4,7 @@
 use super::context::Context;
 use super::save_result;
 use crate::table::TableWriter;
+use lumos5g::eval::eval_both;
 use lumos5g::features::FeatureSpec;
 use lumos5g::predictor::fit_seq2seq;
 use lumos5g::prelude::*;
@@ -181,8 +182,7 @@ pub fn table9(ctx: &mut Context) -> String {
     // History-based Harmonic Mean (bottom block of Table 9).
     let g = ctx.global(true);
     let hm = ModelKind::HarmonicMean { window: 5 };
-    let reg = regression_eval(&g, FeatureSet::L, &hm, 1).expect("hm eval");
-    let clf = classification_eval(&g, FeatureSet::L, &hm, 1).expect("hm eval");
+    let (reg, clf) = eval_both(&g, FeatureSet::L, &hm, 1).expect("hm eval");
     let _ = writeln!(
         out,
         "Harmonic Mean (past throughput): MAE {:.0} | RMSE {:.0} | wF1 {:.2}",

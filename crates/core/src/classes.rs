@@ -41,6 +41,12 @@ impl ThroughputClass {
         self as usize
     }
 
+    /// Class indices of a run of throughputs (Mbps) — how the families
+    /// without a native classifier classify (§6.1).
+    pub(crate) fn indices(throughputs: &[f64]) -> Vec<usize> {
+        throughputs.iter().map(|&y| Self::of(y).index()).collect()
+    }
+
     /// From a class index.
     pub fn from_index(i: usize) -> Option<Self> {
         match i {

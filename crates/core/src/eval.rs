@@ -3,13 +3,10 @@
 //! classification.
 
 use crate::classes::ThroughputClass;
-use crate::features::{FeatureSet, FeatureSpec};
-use crate::predictor::{fit_seq2seq, train_in_memory, ModelKind, Seq2SeqParams, TrainedRegressor};
+use crate::features::FeatureSet;
+use crate::predictor::{fit_seq2seq, train_in_memory, Lumos5G, ModelKind, Seq2SeqParams};
 use crate::tabular::{build_sequences, build_tabular, SequenceData, TabularData};
-use lumos5g_ml::{
-    train_test_split, ClassificationReport, GbdtClassifier, GbdtRegressor, KnnClassifier,
-    KnnRegressor, OrdinaryKriging, RandomForestClassifier, RandomForestRegressor, Seq2Seq,
-};
+use lumos5g_ml::{train_test_split, ClassificationReport, Seq2Seq};
 use lumos5g_sim::Dataset;
 
 /// Regression metrics (Table 8 cells).
@@ -36,25 +33,34 @@ pub struct ClassificationOutcome {
     pub n_test: usize,
 }
 
-/// A labelled row for summary tables.
-#[derive(Debug, Clone)]
-pub struct EvalSummary {
-    /// Model name.
-    pub model: String,
-    /// Feature-set label.
-    pub feature_set: String,
-    /// Regression metrics if run.
-    pub regression: Option<RegressionOutcome>,
-    /// Classification metrics if run.
-    pub classification: Option<ClassificationOutcome>,
-}
-
 fn reg_metrics(truth: &[f64], pred: &[f64]) -> RegressionOutcome {
     RegressionOutcome {
         mae: lumos5g_ml::mae(truth, pred),
         rmse: lumos5g_ml::rmse(truth, pred),
         n_test: truth.len(),
     }
+}
+
+fn clf_metrics(truth: &[usize], pred: &[usize]) -> ClassificationOutcome {
+    let r = ClassificationReport::from_labels(truth, pred, ThroughputClass::COUNT);
+    ClassificationOutcome {
+        weighted_f1: r.weighted_f1,
+        low_recall: r.recall[ThroughputClass::Low.index()],
+        accuracy: r.accuracy,
+        n_test: truth.len(),
+    }
+}
+
+/// Both metrics from one set of regression predictions: the classifier
+/// buckets them (§6.1).
+fn bucketed_metrics(truth: &[f64], pred: &[f64]) -> (RegressionOutcome, ClassificationOutcome) {
+    (
+        reg_metrics(truth, pred),
+        clf_metrics(
+            &ThroughputClass::indices(truth),
+            &ThroughputClass::indices(pred),
+        ),
+    )
 }
 
 /// Training-cost cap for tabular models: beyond ~20k rows the simulated
@@ -75,39 +81,22 @@ fn even_subsample(tr: Vec<usize>, cap: usize) -> Vec<usize> {
     (0..cap).map(|k| tr[(k as f64 * step) as usize]).collect()
 }
 
-/// Bucket throughputs (Mbps) into [`ThroughputClass`] indices — how the
-/// regression-only families classify (§6.1).
-fn classes(ys: &[f64]) -> Vec<usize> {
-    ys.iter().map(|&y| ThroughputClass::of(y).index()).collect()
+/// Bind `set` to `model` and run the served fits' checks on `data`:
+/// hyperparameters, then finiteness. Every entry point starts here.
+fn checked(data: &Dataset, set: FeatureSet, model: &ModelKind) -> Result<Lumos5G, String> {
+    let fw = Lumos5G::new(set, model.clone());
+    fw.check(data)?;
+    Ok(fw)
 }
 
-/// Harmonic-mean baseline over every trace: no training, so nothing is
-/// held out.
-fn harmonic_eval(data: &Dataset, window: usize) -> Result<(Vec<f64>, Vec<f64>), String> {
-    let (truth, pred) = TrainedRegressor::Harmonic { window }.eval(data);
-    if truth.is_empty() {
-        return Err("no traces to evaluate".into());
-    }
-    Ok((truth, pred))
-}
-
-fn clf_metrics(truth: &[usize], pred: &[usize]) -> ClassificationOutcome {
-    let r = ClassificationReport::from_labels(truth, pred, ThroughputClass::COUNT);
-    ClassificationOutcome {
-        weighted_f1: r.weighted_f1,
-        low_recall: r.recall[ThroughputClass::Low.index()],
-        accuracy: r.accuracy,
-        n_test: truth.len(),
-    }
-}
-
-/// The 70/30 tabular split of `data` under `spec` (training rows capped).
+/// The 70/30 tabular split of `data` under `fw`'s spec (training rows
+/// capped).
 fn tabular_split(
     data: &Dataset,
-    spec: &FeatureSpec,
+    fw: &Lumos5G,
     split_seed: u64,
 ) -> Result<(TabularData, TabularData), String> {
-    let td = build_tabular(data, spec);
+    let td = build_tabular(data, &fw.spec);
     if td.len() < 20 {
         return Err(format!("too few samples: {}", td.len()));
     }
@@ -118,13 +107,48 @@ fn tabular_split(
     ))
 }
 
-/// Ordinary Kriging predictions at the test positions.
-fn kriging(train: &TabularData, test: &TabularData, neighbors: usize) -> Vec<f64> {
-    let ok = OrdinaryKriging::fit(&train.positions, &train.ys, neighbors);
-    test.positions
-        .iter()
-        .map(|p| ok.predict(p[0], p[1]))
-        .collect()
+/// A checked cell's aligned `(truth, prediction)` regression pairs:
+/// tabular families and Seq2Seq score the held-out 30% of a 70/30 split;
+/// the Harmonic Mean baseline has no training, so it scores every trace.
+fn regression_cell(
+    fw: &Lumos5G,
+    data: &Dataset,
+    split_seed: u64,
+) -> Result<(Vec<f64>, Vec<f64>), String> {
+    match &fw.model {
+        ModelKind::Seq2Seq(p) => seq2seq_cell(data, fw, p, split_seed, train_in_memory),
+        ModelKind::HarmonicMean { .. } => {
+            let (truth, pred) = fw.fit_regression(data)?.eval(data);
+            if truth.is_empty() {
+                return Err("no traces to evaluate".into());
+            }
+            Ok((truth, pred))
+        }
+        _ => {
+            let (train, test) = tabular_split(data, fw, split_seed)?;
+            let pred = fw.fit_regressor_rows(&train)?.predict_rows(&test);
+            Ok((test.ys, pred))
+        }
+    }
+}
+
+/// Seq2Seq's [`regression_cell`]: build sequences, split 70/30, train on
+/// the (capped) 70% through [`fit_seq2seq`] with `trainer`, and predict the
+/// next slot of the held-out 30%.
+fn seq2seq_cell(
+    data: &Dataset,
+    fw: &Lumos5G,
+    p: &Seq2SeqParams,
+    split_seed: u64,
+    trainer: impl FnOnce(&mut Seq2Seq, &SequenceData, &Seq2SeqParams),
+) -> Result<(Vec<f64>, Vec<f64>), String> {
+    let sd = build_sequences(data, &fw.spec, p.input_len, p.horizon, p.stride);
+    if sd.len() < 20 {
+        return Err(format!("too few sequences: {}", sd.len()));
+    }
+    let (tr, te) = train_test_split(sd.len(), 0.7, split_seed);
+    let train = sd.select(&even_subsample(tr, MAX_TRAIN_SEQ));
+    Ok(fit_seq2seq(&train, &fw.spec, p, trainer).eval_next_slot(&sd.select(&te)))
 }
 
 /// Train/test a regression model under a 70/30 split (paper §6.1).
@@ -134,33 +158,8 @@ pub fn regression_eval(
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<RegressionOutcome, String> {
-    model.validate()?;
-    match model {
-        ModelKind::Seq2Seq(p) => {
-            seq2seq_eval(data, set, p, split_seed, train_in_memory).map(|(r, _)| r)
-        }
-        ModelKind::HarmonicMean { window } => {
-            let (truth, pred) = harmonic_eval(data, *window)?;
-            Ok(reg_metrics(&truth, &pred))
-        }
-        _ => {
-            let (train, test) = tabular_split(data, &FeatureSpec::new(set), split_seed)?;
-            let pred = match model {
-                ModelKind::Gdbt(cfg) => {
-                    GbdtRegressor::fit(&train.xs, &train.ys, cfg).predict(&test.xs)
-                }
-                ModelKind::Knn { k } => {
-                    KnnRegressor::fit(&train.xs, &train.ys, *k).predict(&test.xs)
-                }
-                ModelKind::RandomForest(cfg) => {
-                    RandomForestRegressor::fit(&train.xs, &train.ys, cfg).predict(&test.xs)
-                }
-                ModelKind::Kriging { neighbors } => kriging(&train, &test, *neighbors),
-                _ => unreachable!("handled above"),
-            };
-            Ok(reg_metrics(&test.ys, &pred))
-        }
-    }
+    let (truth, pred) = regression_cell(&checked(data, set, model)?, data, split_seed)?;
+    Ok(reg_metrics(&truth, &pred))
 }
 
 /// Train/test a classification model under a 70/30 split.
@@ -170,85 +169,47 @@ pub fn classification_eval(
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<ClassificationOutcome, String> {
-    model.validate()?;
-    match model {
-        ModelKind::Seq2Seq(p) => {
-            seq2seq_eval(data, set, p, split_seed, train_in_memory).map(|(_, c)| c)
-        }
-        ModelKind::HarmonicMean { window } => {
-            let (truth, pred) = harmonic_eval(data, *window)?;
-            Ok(clf_metrics(&classes(&truth), &classes(&pred)))
-        }
-        _ => {
-            let (train, test) = tabular_split(data, &FeatureSpec::new(set), split_seed)?;
-            let pred = match model {
-                ModelKind::Gdbt(cfg) => {
-                    GbdtClassifier::fit(&train.xs, &train.labels, ThroughputClass::COUNT, cfg)
-                        .predict(&test.xs)
-                }
-                ModelKind::Knn { k } => {
-                    KnnClassifier::fit(&train.xs, &train.labels, ThroughputClass::COUNT, *k)
-                        .predict(&test.xs)
-                }
-                ModelKind::RandomForest(cfg) => RandomForestClassifier::fit(
-                    &train.xs,
-                    &train.labels,
-                    ThroughputClass::COUNT,
-                    cfg,
-                )
-                .predict(&test.xs),
-                // Regression + bucketing (OK has no native classifier).
-                ModelKind::Kriging { neighbors } => classes(&kriging(&train, &test, *neighbors)),
-                _ => unreachable!("handled above"),
-            };
-            Ok(clf_metrics(&test.labels, &pred))
-        }
+    let fw = checked(data, set, model)?;
+    if fw.model.buckets_regression() {
+        let (truth, pred) = regression_cell(&fw, data, split_seed)?;
+        return Ok(bucketed_metrics(&truth, &pred).1);
     }
+    let (train, test) = tabular_split(data, &fw, split_seed)?;
+    let pred = fw.fit_classifier_rows(&train)?.predict_rows(&test);
+    Ok(clf_metrics(&test.labels, &pred))
 }
 
-/// Convenience wrapper producing a labelled [`EvalSummary`] row for report
-/// tables.
-pub fn summarize(
-    model_name: &str,
-    data: &Dataset,
-    set: FeatureSet,
-    model: &ModelKind,
-    split_seed: u64,
-) -> EvalSummary {
-    let both = eval_both(data, set, model, split_seed).ok();
-    EvalSummary {
-        model: model_name.to_string(),
-        feature_set: set.label().to_string(),
-        regression: both.map(|(r, _)| r),
-        classification: both.map(|(_, c)| c),
-    }
-}
-
-/// Run both tasks. Seq2Seq trains **once** and derives both metrics from
-/// the same predictions; every other family runs both paths concurrently
-/// (they share no state or RNG; Kriging and Harmonic Mean classify by
-/// bucketing their regression output there). GDBT's two heads so boost
-/// on two teams at once, which measured faster than fitting them one
-/// after the other.
+/// Run both tasks on one split. Families that classify by bucketing their
+/// regression output (Seq2Seq, Kriging, Harmonic Mean) fit **once** and
+/// derive both metrics from the same predictions; GDBT, KNN and RF fit
+/// their two heads concurrently (they share no state or RNG), so GDBT's
+/// heads boost on two teams at once, which measured faster than fitting
+/// them one after the other.
 pub fn eval_both(
     data: &Dataset,
     set: FeatureSet,
     model: &ModelKind,
     split_seed: u64,
 ) -> Result<(RegressionOutcome, ClassificationOutcome), String> {
-    model.validate()?;
-    match model {
-        ModelKind::Seq2Seq(p) => seq2seq_eval(data, set, p, split_seed, train_in_memory),
-        _ => {
-            let (reg, clf) = std::thread::scope(|s| {
-                let clf = s.spawn(|| classification_eval(data, set, model, split_seed));
-                let reg = regression_eval(data, set, model, split_seed);
-                let clf = clf.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                (reg, clf)
-            });
-            Ok((reg?, clf?))
-        }
+    let fw = checked(data, set, model)?;
+    if fw.model.buckets_regression() {
+        let (truth, pred) = regression_cell(&fw, data, split_seed)?;
+        return Ok(bucketed_metrics(&truth, &pred));
     }
+    let (train, test) = tabular_split(data, &fw, split_seed)?;
+    let (reg, clf) = std::thread::scope(|s| {
+        let clf = s.spawn(|| {
+            fw.fit_classifier_rows(&train)
+                .map(|m| m.predict_rows(&test))
+        });
+        let reg = fw.fit_regressor_rows(&train).map(|m| m.predict_rows(&test));
+        let clf = clf.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        (reg, clf)
+    });
+    Ok((
+        reg_metrics(&test.ys, &reg?),
+        clf_metrics(&test.labels, &clf?),
+    ))
 }
 
 /// Both metrics of a Seq2Seq cell from one fit: build sequences, split
@@ -261,20 +222,9 @@ pub fn seq2seq_eval(
     split_seed: u64,
     trainer: impl FnOnce(&mut Seq2Seq, &SequenceData, &Seq2SeqParams),
 ) -> Result<(RegressionOutcome, ClassificationOutcome), String> {
-    p.validate()?;
-    let spec = FeatureSpec::new(set);
-    let sd = build_sequences(data, &spec, p.input_len, p.horizon, p.stride);
-    if sd.len() < 20 {
-        return Err(format!("too few sequences: {}", sd.len()));
-    }
-    let (tr, te) = train_test_split(sd.len(), 0.7, split_seed);
-    let train = sd.select(&even_subsample(tr, MAX_TRAIN_SEQ));
-    let model = fit_seq2seq(&train, &spec, p, trainer);
-    let (truth, pred) = model.eval_next_slot(&sd.select(&te));
-    Ok((
-        reg_metrics(&truth, &pred),
-        clf_metrics(&classes(&truth), &classes(&pred)),
-    ))
+    let fw = checked(data, set, &ModelKind::Seq2Seq(*p))?;
+    let (truth, pred) = seq2seq_cell(data, &fw, p, split_seed, trainer)?;
+    Ok(bucketed_metrics(&truth, &pred))
 }
 
 #[cfg(test)]
@@ -401,24 +351,63 @@ mod tests {
 
     #[test]
     fn gdbt_cells_score_both_heads_as_the_single_task_evals_do() {
+        // GDBT, KNN and RF fit both heads; Kriging and HM derive both
+        // metrics from one regression fit. Either way a cell must score
+        // what the single-task entries score.
         let d = data();
-        let gdbt = ModelKind::Gdbt(quick_gbdt());
-        let (reg, clf) = eval_both(&d, FeatureSet::LM, &gdbt, 1).unwrap();
-        assert_eq!(reg, regression_eval(&d, FeatureSet::LM, &gdbt, 1).unwrap());
-        assert_eq!(
-            clf,
-            classification_eval(&d, FeatureSet::LM, &gdbt, 1).unwrap()
-        );
+        let rf = ModelKind::RandomForest(lumos5g_ml::forest::ForestConfig {
+            n_trees: 10,
+            ..Default::default()
+        });
+        for (set, model) in [
+            (FeatureSet::LM, ModelKind::Gdbt(quick_gbdt())),
+            (FeatureSet::LM, ModelKind::Knn { k: 5 }),
+            (FeatureSet::LM, rf),
+            (FeatureSet::L, ModelKind::Kriging { neighbors: 12 }),
+            (FeatureSet::L, ModelKind::HarmonicMean { window: 5 }),
+        ] {
+            let (reg, clf) = eval_both(&d, set, &model, 1).unwrap();
+            assert_eq!(
+                reg,
+                regression_eval(&d, set, &model, 1).unwrap(),
+                "{model:?}"
+            );
+            assert_eq!(
+                clf,
+                classification_eval(&d, set, &model, 1).unwrap(),
+                "{model:?}"
+            );
+        }
     }
 
     #[test]
-    fn summarize_labels_and_fills_both_tasks() {
-        let d = data();
-        let s = summarize("knn", &d, FeatureSet::L, &ModelKind::Knn { k: 5 }, 1);
-        assert_eq!(s.model, "knn");
-        assert_eq!(s.feature_set, "L");
-        assert!(s.regression.is_some());
-        assert!(s.classification.is_some());
+    fn non_finite_samples_are_rejected_by_every_entry() {
+        // Table cells check their data as the served fits do: one NaN
+        // throughput would otherwise score as NaN or silently bias a cell.
+        let mut d = data();
+        d.records[7].throughput_mbps = f64::NAN;
+        let s2s = quick_seq2seq();
+        for model in [
+            ModelKind::Gdbt(quick_gbdt()),
+            ModelKind::Knn { k: 5 },
+            ModelKind::RandomForest(Default::default()),
+            ModelKind::Kriging { neighbors: 12 },
+            ModelKind::HarmonicMean { window: 5 },
+            ModelKind::Seq2Seq(s2s),
+        ] {
+            let set = FeatureSet::L;
+            let err = regression_eval(&d, set, &model, 1).unwrap_err();
+            assert!(err.contains("non-finite"), "{model:?}: {err}");
+            assert!(
+                classification_eval(&d, set, &model, 1).is_err(),
+                "{model:?}"
+            );
+            assert!(eval_both(&d, set, &model, 1).is_err(), "{model:?}");
+        }
+        let err = seq2seq_eval(&d, FeatureSet::L, &s2s, 1, |_, _, _| {
+            panic!("a non-finite Seq2Seq cell must not train")
+        });
+        assert!(err.is_err());
     }
 
     #[test]

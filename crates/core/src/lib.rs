@@ -72,7 +72,7 @@ pub use tabular::{build_sequences, build_tabular, TabularData};
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::classes::ThroughputClass;
-    pub use crate::eval::{classification_eval, regression_eval, EvalSummary};
+    pub use crate::eval::{classification_eval, regression_eval};
     pub use crate::features::{FeatureGroup, FeatureSet, FeatureSpec};
     pub use crate::map::ThroughputMap;
     pub use crate::predictor::{quick_gbdt, quick_seq2seq, Lumos5G, ModelKind};

@@ -308,7 +308,7 @@ fn split_container(bytes: &[u8]) -> Result<&[u8], PersistError> {
 }
 
 /// Encode a regressor to bytes. Every family round-trips.
-pub fn encode_regressor(model: &TrainedRegressor) -> Result<Vec<u8>, PersistError> {
+pub fn encode_regressor(model: &TrainedRegressor) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_header(&mut w, KIND_REGRESSOR);
     match model {
@@ -353,7 +353,7 @@ pub fn encode_regressor(model: &TrainedRegressor) -> Result<Vec<u8>, PersistErro
             model.encode(&mut w);
         }
     }
-    Ok(seal(w))
+    seal(w)
 }
 
 /// Decode a regressor from bytes produced by [`encode_regressor`].
@@ -469,9 +469,8 @@ fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, Per
 }
 
 /// Encode a classifier to bytes. A `FromRegression` classifier nests its
-/// regressor's full encoding, so it is persistable exactly when the
-/// regressor is.
-pub fn encode_classifier(model: &TrainedClassifier) -> Result<Vec<u8>, PersistError> {
+/// regressor's full encoding.
+pub fn encode_classifier(model: &TrainedClassifier) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_header(&mut w, KIND_CLASSIFIER);
     match model {
@@ -493,12 +492,12 @@ pub fn encode_classifier(model: &TrainedClassifier) -> Result<Vec<u8>, PersistEr
         TrainedClassifier::FromRegression(reg) => {
             w.put_u8(FAM_FROM_REGRESSION);
             put_spec(&mut w, None);
-            let inner = encode_regressor(reg)?;
+            let inner = encode_regressor(reg);
             w.put_len(inner.len());
             w.put_bytes(&inner);
         }
     }
-    Ok(seal(w))
+    seal(w)
 }
 
 /// Decode a classifier from bytes produced by [`encode_classifier`].
@@ -662,8 +661,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
 /// Save a regressor atomically to `path`, creating parent directories as
 /// needed.
 pub fn save_regressor(model: &TrainedRegressor, path: &Path) -> Result<(), PersistError> {
-    let bytes = encode_regressor(model)?;
-    atomic_write(path, &bytes)
+    atomic_write(path, &encode_regressor(model))
 }
 
 /// Load a regressor saved by [`save_regressor`].
@@ -716,7 +714,7 @@ mod tests {
                 let model = Lumos5G::new(set, kind.clone())
                     .fit_regression(&data)
                     .unwrap();
-                let bytes = encode_regressor(&model).unwrap();
+                let bytes = encode_regressor(&model);
                 let loaded = decode_regressor(&bytes).unwrap();
                 assert_eq!(loaded.spec(), model.spec(), "{name}/{set:?}");
                 let (_, want) = model.eval(&data);
@@ -736,7 +734,7 @@ mod tests {
             let model = Lumos5G::new(FeatureSet::LM, kind)
                 .fit_classification(&data)
                 .unwrap();
-            let bytes = encode_classifier(&model).unwrap();
+            let bytes = encode_classifier(&model);
             let loaded = decode_classifier(&bytes).unwrap();
             let (_, want) = model.eval(&data);
             let (_, got) = loaded.eval(&data);
@@ -750,13 +748,13 @@ mod tests {
         let reg = Lumos5G::new(FeatureSet::L, ModelKind::HarmonicMean { window: 7 })
             .fit_regression(&data)
             .unwrap();
-        let loaded = decode_regressor(&encode_regressor(&reg).unwrap()).unwrap();
+        let loaded = decode_regressor(&encode_regressor(&reg)).unwrap();
         assert!(matches!(loaded, TrainedRegressor::Harmonic { window: 7 }));
 
         let clf = Lumos5G::new(FeatureSet::L, ModelKind::HarmonicMean { window: 7 })
             .fit_classification(&data)
             .unwrap();
-        let loaded = decode_classifier(&encode_classifier(&clf).unwrap()).unwrap();
+        let loaded = decode_classifier(&encode_classifier(&clf)).unwrap();
         let (want_t, want_p) = clf.eval(&data);
         let (got_t, got_p) = loaded.eval(&data);
         assert_eq!(want_t, got_t);
@@ -769,7 +767,7 @@ mod tests {
         let kriging = Lumos5G::new(FeatureSet::L, ModelKind::Kriging { neighbors: 8 })
             .fit_regression(&data)
             .unwrap();
-        let bytes = encode_regressor(&kriging).unwrap();
+        let bytes = encode_regressor(&kriging);
         let loaded = decode_regressor(&bytes).unwrap();
         assert_eq!(loaded.spec(), kriging.spec());
         let (_, want) = kriging.eval(&data);
@@ -792,7 +790,7 @@ mod tests {
         let model = Lumos5G::new(FeatureSet::LM, ModelKind::Seq2Seq(p))
             .fit_regression(&data)
             .unwrap();
-        let bytes = encode_regressor(&model).unwrap();
+        let bytes = encode_regressor(&model);
         let loaded = decode_regressor(&bytes).unwrap();
         assert_eq!(loaded.spec(), model.spec());
         assert_eq!(loaded.seq2seq_params(), model.seq2seq_params());
@@ -823,48 +821,18 @@ mod tests {
         // Fitted on L+M+C rows, then filed under the narrower L spec: trees
         // would index served L rows past their end, KNN's scaler would
         // panic on them.
-        let data = campaign(11);
-        let narrow = FeatureSpec::new(FeatureSet::L);
+        let wide = crate::tabular::build_tabular(&campaign(11), &FeatureSpec::new(FeatureSet::LMC));
         let rf = ModelKind::RandomForest(ForestConfig {
             n_trees: 3,
             ..Default::default()
         });
         for kind in [ModelKind::Gdbt(quick_gbdt()), rf, ModelKind::Knn { k: 3 }] {
-            let fit = Lumos5G::new(FeatureSet::LMC, kind);
-            let reg = match fit.fit_regression(&data).unwrap() {
-                TrainedRegressor::Gdbt { model, .. } => TrainedRegressor::Gdbt {
-                    model,
-                    spec: narrow,
-                },
-                TrainedRegressor::RandomForest { model, .. } => TrainedRegressor::RandomForest {
-                    model,
-                    spec: narrow,
-                },
-                TrainedRegressor::Knn { model, .. } => TrainedRegressor::Knn {
-                    model,
-                    spec: narrow,
-                },
-                other => panic!("unexpected family {other:?}"),
-            };
-            let got = decode_regressor(&encode_regressor(&reg).unwrap());
+            let narrow = Lumos5G::new(FeatureSet::L, kind);
+            let reg = narrow.fit_regressor_rows(&wide).unwrap();
+            let got = decode_regressor(&encode_regressor(&reg));
             assert!(got.is_err(), "regressor decoded: {got:?}");
-
-            let clf = match fit.fit_classification(&data).unwrap() {
-                TrainedClassifier::GdbtNative { model, .. } => TrainedClassifier::GdbtNative {
-                    model,
-                    spec: narrow,
-                },
-                TrainedClassifier::RfNative { model, .. } => TrainedClassifier::RfNative {
-                    model,
-                    spec: narrow,
-                },
-                TrainedClassifier::KnnNative { model, .. } => TrainedClassifier::KnnNative {
-                    model,
-                    spec: narrow,
-                },
-                other => panic!("unexpected family {other:?}"),
-            };
-            let got = decode_classifier(&encode_classifier(&clf).unwrap());
+            let clf = narrow.fit_classifier_rows(&wide).unwrap();
+            let got = decode_classifier(&encode_classifier(&clf));
             assert!(got.is_err(), "classifier decoded: {got:?}");
         }
     }
@@ -875,7 +843,7 @@ mod tests {
         let model = Lumos5G::new(FeatureSet::LM, ModelKind::Knn { k: 3 })
             .fit_regression(&data)
             .unwrap();
-        let bytes = encode_regressor(&model).unwrap();
+        let bytes = encode_regressor(&model);
         // Every strict prefix must fail cleanly (step 7 keeps it fast; the
         // interesting boundaries near the header are all covered).
         for cut in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
@@ -886,7 +854,7 @@ mod tests {
     #[test]
     fn corrupted_header_and_trailing_bytes_are_rejected() {
         let model = TrainedRegressor::Harmonic { window: 5 };
-        let bytes = encode_regressor(&model).unwrap();
+        let bytes = encode_regressor(&model);
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xFF;
@@ -929,7 +897,7 @@ mod tests {
     #[test]
     fn every_bit_flip_is_caught_by_the_checksum() {
         let model = TrainedRegressor::Harmonic { window: 5 };
-        let bytes = encode_regressor(&model).unwrap();
+        let bytes = encode_regressor(&model);
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
@@ -963,7 +931,7 @@ mod tests {
     #[test]
     fn checkpoint_container_rejects_kind_confusion() {
         let model = TrainedRegressor::Harmonic { window: 5 };
-        let bytes = encode_regressor(&model).unwrap();
+        let bytes = encode_regressor(&model);
         assert!(matches!(
             decode_checkpoint(&bytes),
             Err(PersistError::WrongKind { .. })

@@ -10,7 +10,7 @@
 
 use crate::classes::ThroughputClass;
 use crate::features::FeatureSpec;
-use crate::tabular::{build_sequences, build_tabular, SequenceData};
+use crate::tabular::{build_sequences, build_tabular, SequenceData, TabularData};
 use lumos5g_ml::dataset::TargetScaler;
 use lumos5g_ml::forest::ForestConfig;
 use lumos5g_ml::{
@@ -140,6 +140,16 @@ impl ModelKind {
             _ => Ok(()),
         }
     }
+
+    /// True for the families that classify by bucketing their regression
+    /// output (§6.1) — Seq2Seq, Kriging and HM; GDBT, KNN and RF have
+    /// native classifiers.
+    pub(crate) fn buckets_regression(&self) -> bool {
+        !matches!(
+            self,
+            ModelKind::Gdbt(_) | ModelKind::Knn { .. } | ModelKind::RandomForest(_)
+        )
+    }
 }
 
 /// A fast GDBT config for examples/tests (the paper-scale config is
@@ -259,20 +269,8 @@ impl Lumos5G {
     /// Non-finite feature values are rejected up front with an `Err` — a
     /// single corrupt logger sample must not panic mid-fit.
     pub fn fit_regression(&self, data: &Dataset) -> Result<TrainedRegressor, String> {
-        self.model.validate()?;
-        data.check_finite()
-            .map_err(|e| format!("non-finite training data: {e}"))?;
+        self.check(data)?;
         match &self.model {
-            ModelKind::Gdbt(cfg) => {
-                let td = build_tabular(data, &self.spec);
-                if td.is_empty() {
-                    return Err("no usable training samples".into());
-                }
-                Ok(TrainedRegressor::Gdbt {
-                    model: GbdtRegressor::fit(&td.xs, &td.ys, cfg),
-                    spec: self.spec,
-                })
-            }
             ModelKind::Seq2Seq(p) => {
                 let sd = build_sequences(data, &self.spec, p.input_len, p.horizon, p.stride);
                 if sd.is_empty() {
@@ -280,39 +278,10 @@ impl Lumos5G {
                 }
                 Ok(fit_seq2seq(&sd, &self.spec, p, train_in_memory))
             }
-            ModelKind::Knn { k } => {
-                let td = build_tabular(data, &self.spec);
-                if td.is_empty() {
-                    return Err("no usable training samples".into());
-                }
-                Ok(TrainedRegressor::Knn {
-                    model: KnnRegressor::fit(&td.xs, &td.ys, *k),
-                    spec: self.spec,
-                })
-            }
-            ModelKind::RandomForest(cfg) => {
-                let td = build_tabular(data, &self.spec);
-                if td.is_empty() {
-                    return Err("no usable training samples".into());
-                }
-                Ok(TrainedRegressor::RandomForest {
-                    model: RandomForestRegressor::fit(&td.xs, &td.ys, cfg),
-                    spec: self.spec,
-                })
-            }
-            ModelKind::Kriging { neighbors } => {
-                let td = build_tabular(data, &self.spec);
-                if td.len() < 3 {
-                    return Err("kriging needs at least 3 samples".into());
-                }
-                Ok(TrainedRegressor::Kriging {
-                    model: OrdinaryKriging::fit(&td.positions, &td.ys, *neighbors),
-                    spec: self.spec,
-                })
-            }
             ModelKind::HarmonicMean { window } => {
                 Ok(TrainedRegressor::Harmonic { window: *window })
             }
+            _ => self.fit_regressor_rows(&build_tabular(data, &self.spec)),
         }
     }
 
@@ -322,49 +291,91 @@ impl Lumos5G {
     /// classify by bucketing their regression output, exactly like the
     /// paper's post-processing step (§6.1).
     pub fn fit_classification(&self, data: &Dataset) -> Result<TrainedClassifier, String> {
+        if self.model.buckets_regression() {
+            return Ok(TrainedClassifier::FromRegression(Box::new(
+                self.fit_regression(data)?,
+            )));
+        }
+        self.check(data)?;
+        self.fit_classifier_rows(&build_tabular(data, &self.spec))
+    }
+
+    /// Reject what no model can be trained from, before any work: invalid
+    /// hyperparameters, then a non-finite sample (a single corrupt logger
+    /// sample must not panic mid-fit or score as NaN).
+    pub(crate) fn check(&self, data: &Dataset) -> Result<(), String> {
         self.model.validate()?;
         data.check_finite()
-            .map_err(|e| format!("non-finite training data: {e}"))?;
-        match &self.model {
-            ModelKind::Gdbt(cfg) => {
-                let td = build_tabular(data, &self.spec);
-                if td.is_empty() {
-                    return Err("no usable training samples".into());
-                }
-                Ok(TrainedClassifier::GdbtNative {
-                    model: GbdtClassifier::fit(&td.xs, &td.labels, ThroughputClass::COUNT, cfg),
-                    spec: self.spec,
-                })
+            .map_err(|e| format!("non-finite training data: {e}"))
+    }
+
+    /// The one guard on a tabular training set.
+    fn check_rows(&self, train: &TabularData) -> Result<(), String> {
+        match self.model {
+            ModelKind::Kriging { .. } if train.len() < 3 => {
+                Err("kriging needs at least 3 samples".into())
             }
-            ModelKind::Knn { k } => {
-                let td = build_tabular(data, &self.spec);
-                if td.is_empty() {
-                    return Err("no usable training samples".into());
-                }
-                Ok(TrainedClassifier::KnnNative {
-                    model: KnnClassifier::fit(&td.xs, &td.labels, ThroughputClass::COUNT, *k),
-                    spec: self.spec,
-                })
-            }
-            ModelKind::RandomForest(cfg) => {
-                let td = build_tabular(data, &self.spec);
-                if td.is_empty() {
-                    return Err("no usable training samples".into());
-                }
-                Ok(TrainedClassifier::RfNative {
-                    model: RandomForestClassifier::fit(
-                        &td.xs,
-                        &td.labels,
-                        ThroughputClass::COUNT,
-                        cfg,
-                    ),
-                    spec: self.spec,
-                })
-            }
-            _ => Ok(TrainedClassifier::FromRegression(Box::new(
-                self.fit_regression(data)?,
-            ))),
+            _ if train.is_empty() => Err("no usable training samples".into()),
+            _ => Ok(()),
         }
+    }
+
+    /// Fit the regressor of a tabular family (GDBT, KNN, RF, Kriging) on
+    /// `train`: the one per-family regression fit behind served models and
+    /// table cells. Seq2Seq and HM do not train on rows.
+    pub(crate) fn fit_regressor_rows(
+        &self,
+        train: &TabularData,
+    ) -> Result<TrainedRegressor, String> {
+        self.check_rows(train)?;
+        let spec = self.spec;
+        Ok(match &self.model {
+            ModelKind::Gdbt(cfg) => TrainedRegressor::Gdbt {
+                model: GbdtRegressor::fit(&train.xs, &train.ys, cfg),
+                spec,
+            },
+            ModelKind::Knn { k } => TrainedRegressor::Knn {
+                model: KnnRegressor::fit(&train.xs, &train.ys, *k),
+                spec,
+            },
+            ModelKind::RandomForest(cfg) => TrainedRegressor::RandomForest {
+                model: RandomForestRegressor::fit(&train.xs, &train.ys, cfg),
+                spec,
+            },
+            ModelKind::Kriging { neighbors } => TrainedRegressor::Kriging {
+                model: OrdinaryKriging::fit(&train.positions, &train.ys, *neighbors),
+                spec,
+            },
+            ModelKind::Seq2Seq(_) | ModelKind::HarmonicMean { .. } => {
+                return Err("Seq2Seq and Harmonic Mean do not train on tabular rows".into())
+            }
+        })
+    }
+
+    /// Fit the classifier of a tabular family on `train`: the one per-family
+    /// classification fit. Kriging buckets its regressor's output.
+    pub(crate) fn fit_classifier_rows(
+        &self,
+        train: &TabularData,
+    ) -> Result<TrainedClassifier, String> {
+        self.check_rows(train)?;
+        let (xs, labels, n) = (&train.xs, &train.labels, ThroughputClass::COUNT);
+        let spec = self.spec;
+        Ok(match &self.model {
+            ModelKind::Gdbt(cfg) => TrainedClassifier::GdbtNative {
+                model: GbdtClassifier::fit(xs, labels, n, cfg),
+                spec,
+            },
+            ModelKind::Knn { k } => TrainedClassifier::KnnNative {
+                model: KnnClassifier::fit(xs, labels, n, *k),
+                spec,
+            },
+            ModelKind::RandomForest(cfg) => TrainedClassifier::RfNative {
+                model: RandomForestClassifier::fit(xs, labels, n, cfg),
+                spec,
+            },
+            _ => TrainedClassifier::FromRegression(Box::new(self.fit_regressor_rows(train)?)),
+        })
     }
 }
 
@@ -424,26 +435,13 @@ impl TrainedRegressor {
     /// Evaluate on `data`: returns aligned `(truth, prediction)` vectors.
     pub fn eval(&self, data: &Dataset) -> (Vec<f64>, Vec<f64>) {
         match self {
-            TrainedRegressor::Gdbt { model, spec } => {
+            TrainedRegressor::Gdbt { spec, .. }
+            | TrainedRegressor::Knn { spec, .. }
+            | TrainedRegressor::RandomForest { spec, .. }
+            | TrainedRegressor::Kriging { spec, .. } => {
                 let td = build_tabular(data, spec);
-                (td.ys.clone(), model.predict(&td.xs))
-            }
-            TrainedRegressor::Knn { model, spec } => {
-                let td = build_tabular(data, spec);
-                (td.ys.clone(), model.predict(&td.xs))
-            }
-            TrainedRegressor::RandomForest { model, spec } => {
-                let td = build_tabular(data, spec);
-                (td.ys.clone(), model.predict(&td.xs))
-            }
-            TrainedRegressor::Kriging { model, spec } => {
-                let td = build_tabular(data, spec);
-                let pred = td
-                    .positions
-                    .iter()
-                    .map(|p| model.predict(p[0], p[1]))
-                    .collect();
-                (td.ys.clone(), pred)
+                let pred = self.predict_rows(&td);
+                (td.ys, pred)
             }
             TrainedRegressor::Seq2Seq { params, spec, .. } => self.eval_next_slot(
                 &build_sequences(data, spec, params.input_len, params.horizon, params.stride),
@@ -458,6 +456,26 @@ impl TrainedRegressor {
                     }
                 }
                 (truth, pred)
+            }
+        }
+    }
+
+    /// Predictions for tabular rows: the one per-family predict step of the
+    /// tabular families (GDBT / KNN / RF from features, Kriging from
+    /// positions). Panics for Seq2Seq and HM, which do not predict from
+    /// single rows.
+    pub(crate) fn predict_rows(&self, rows: &TabularData) -> Vec<f64> {
+        match self {
+            TrainedRegressor::Gdbt { model, .. } => model.predict(&rows.xs),
+            TrainedRegressor::Knn { model, .. } => model.predict(&rows.xs),
+            TrainedRegressor::RandomForest { model, .. } => model.predict(&rows.xs),
+            TrainedRegressor::Kriging { model, .. } => rows
+                .positions
+                .iter()
+                .map(|p| model.predict(p[0], p[1]))
+                .collect(),
+            TrainedRegressor::Seq2Seq { .. } | TrainedRegressor::Harmonic { .. } => {
+                panic!("Seq2Seq and Harmonic Mean do not predict from tabular rows")
             }
         }
     }
@@ -624,56 +642,32 @@ impl TrainedClassifier {
     /// Evaluate on `data`: aligned `(truth_labels, predicted_labels)`.
     pub fn eval(&self, data: &Dataset) -> (Vec<usize>, Vec<usize>) {
         match self {
-            TrainedClassifier::GdbtNative { model, spec } => {
+            TrainedClassifier::GdbtNative { spec, .. }
+            | TrainedClassifier::KnnNative { spec, .. }
+            | TrainedClassifier::RfNative { spec, .. } => {
                 let td = build_tabular(data, spec);
-                (td.labels.clone(), model.predict(&td.xs))
-            }
-            TrainedClassifier::KnnNative { model, spec } => {
-                let td = build_tabular(data, spec);
-                (td.labels.clone(), model.predict(&td.xs))
-            }
-            TrainedClassifier::RfNative { model, spec } => {
-                let td = build_tabular(data, spec);
-                (td.labels.clone(), model.predict(&td.xs))
+                let pred = self.predict_rows(&td);
+                (td.labels, pred)
             }
             TrainedClassifier::FromRegression(reg) => {
                 let (truth, pred) = reg.eval(data);
                 (
-                    truth
-                        .iter()
-                        .map(|&y| ThroughputClass::of(y).index())
-                        .collect(),
-                    pred.iter()
-                        .map(|&y| ThroughputClass::of(y).index())
-                        .collect(),
+                    ThroughputClass::indices(&truth),
+                    ThroughputClass::indices(&pred),
                 )
             }
         }
     }
 
-    /// GDBT global feature importance (None for other families).
-    pub fn feature_importance(&self) -> Option<Vec<(String, f64)>> {
+    /// Class predictions for tabular rows — see
+    /// [`TrainedRegressor::predict_rows`].
+    pub(crate) fn predict_rows(&self, rows: &TabularData) -> Vec<usize> {
         match self {
-            TrainedClassifier::GdbtNative { model, spec } => Some(
-                spec.feature_names()
-                    .into_iter()
-                    .zip(model.feature_importance())
-                    .collect(),
-            ),
-            TrainedClassifier::FromRegression(reg) => reg.feature_importance(),
-            _ => None,
-        }
-    }
-
-    /// Single-row class prediction (serving hot path); `None` when the
-    /// underlying family has no single-row form.
-    pub fn predict_one(&self, x: &[f64]) -> Option<usize> {
-        match self {
-            TrainedClassifier::GdbtNative { model, .. } => Some(model.predict_row(x)),
-            TrainedClassifier::KnnNative { model, .. } => Some(model.predict_row(x)),
-            TrainedClassifier::RfNative { model, .. } => Some(model.predict_row(x)),
+            TrainedClassifier::GdbtNative { model, .. } => model.predict(&rows.xs),
+            TrainedClassifier::KnnNative { model, .. } => model.predict(&rows.xs),
+            TrainedClassifier::RfNative { model, .. } => model.predict(&rows.xs),
             TrainedClassifier::FromRegression(reg) => {
-                reg.predict_one(x).map(|y| ThroughputClass::of(y).index())
+                ThroughputClass::indices(&reg.predict_rows(rows))
             }
         }
     }
@@ -901,7 +895,7 @@ mod tests {
         let m = Lumos5G::new(FeatureSet::LM, ModelKind::Seq2Seq(p))
             .fit_regression(&small_data())
             .unwrap();
-        let bytes = crate::persist::encode_regressor(&m).unwrap();
+        let bytes = crate::persist::encode_regressor(&m);
         assert_eq!(body_crc(&bytes), 0x3b1c_e2a1);
     }
 
@@ -918,10 +912,10 @@ mod tests {
         // stored as node lists: the flat tree arrays must encode them 1:1.
         let fit = Lumos5G::new(FeatureSet::LM, ModelKind::Gdbt(quick_gbdt()));
         let reg = fit.fit_regression(&small_data()).unwrap();
-        let bytes = crate::persist::encode_regressor(&reg).unwrap();
+        let bytes = crate::persist::encode_regressor(&reg);
         assert_eq!(body_crc(&bytes), 0x9d5a_aab3);
         let clf = fit.fit_classification(&small_data()).unwrap();
-        let bytes = crate::persist::encode_classifier(&clf).unwrap();
+        let bytes = crate::persist::encode_classifier(&clf);
         assert_eq!(body_crc(&bytes), 0xee53_e84f);
     }
 

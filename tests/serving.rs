@@ -281,8 +281,7 @@ fn online_predictions_bit_match_offline_eval() {
     // Persistence leg: a codec round trip of the model must serve the
     // replay with the exact same bits as the in-memory original.
     let restored =
-        lumos5g::persist::decode_regressor(&lumos5g::persist::encode_regressor(&model).unwrap())
-            .unwrap();
+        lumos5g::persist::decode_regressor(&lumos5g::persist::encode_regressor(&model)).unwrap();
     let restored_responses = run_replay(restored, &src);
     let key_pred = |ps: &[Prediction]| {
         let mut v: Vec<_> = ps
