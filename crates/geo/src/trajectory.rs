@@ -55,13 +55,6 @@ impl Polyline {
         &self.points
     }
 
-    /// Reverse direction (e.g. the Airport NB vs SB trajectories).
-    pub fn reversed(&self) -> Polyline {
-        let mut pts = self.points.clone();
-        pts.reverse();
-        Polyline::new(pts)
-    }
-
     /// Position at arc length `s`, clamped to `[0, length]`.
     pub fn point_at(&self, s: f64) -> Point2 {
         let s = s.clamp(0.0, self.length());
@@ -110,24 +103,6 @@ impl Polyline {
         }
         bearing_deg(a.x, a.y, b.x, b.y)
     }
-
-    /// Sample the polyline every `step_m` meters (including both endpoints),
-    /// returning `(arc_length, position, heading)` triples.
-    pub fn sample_every(&self, step_m: f64) -> Vec<(f64, Point2, f64)> {
-        assert!(step_m > 0.0, "sample step must be positive");
-        let mut out = Vec::new();
-        let mut s = 0.0;
-        while s < self.length() {
-            out.push((s, self.point_at(s), self.heading_at(s)));
-            s += step_m;
-        }
-        out.push((
-            self.length(),
-            self.point_at(self.length()),
-            self.heading_at(self.length()),
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn reversed_heading_is_opposite() {
-        let pl = l_shape();
-        let rev = pl.reversed();
-        // First leg of the reversal is the old last leg, walked west.
-        assert!((rev.heading_at(10.0) - 270.0).abs() < 1e-9);
-        assert!((rev.length() - pl.length()).abs() < 1e-12);
-    }
-
-    #[test]
     fn closed_loop_returns_to_start() {
         let pl = Polyline::closed(vec![
             Point2::new(0.0, 0.0),
@@ -190,13 +156,5 @@ mod tests {
         assert!((pl.length() - 400.0).abs() < 1e-12);
         let end = pl.point_at(pl.length());
         assert!(end.distance(Point2::new(0.0, 0.0)) < 1e-9);
-    }
-
-    #[test]
-    fn sample_every_covers_endpoints() {
-        let samples = l_shape().sample_every(40.0);
-        assert!((samples[0].0 - 0.0).abs() < 1e-12);
-        assert!((samples.last().unwrap().0 - 150.0).abs() < 1e-12);
-        assert!(samples.len() >= 4);
     }
 }

@@ -22,16 +22,6 @@ pub fn train_test_split(n: usize, train_frac: f64, seed: u64) -> (Vec<usize>, Ve
     (idx, test)
 }
 
-/// Gather rows of a feature matrix by index.
-pub fn gather_rows(xs: &[Vec<f64>], idx: &[usize]) -> Vec<Vec<f64>> {
-    idx.iter().map(|&i| xs[i].clone()).collect()
-}
-
-/// Gather elements of a slice by index.
-pub fn gather<T: Copy>(v: &[T], idx: &[usize]) -> Vec<T> {
-    idx.iter().map(|&i| v[i]).collect()
-}
-
 /// Per-feature zero-mean unit-variance scaler (fit on train, apply to test).
 #[derive(Debug, Clone)]
 pub struct StandardScaler {
@@ -203,12 +193,5 @@ mod tests {
         let t = TargetScaler::fit(&[100.0, 300.0, 500.0]);
         assert!((t.inverse(t.transform(300.0)) - 300.0).abs() < 1e-12);
         assert!(t.transform(300.0).abs() < 1e-12); // mean maps to 0
-    }
-
-    #[test]
-    fn gather_utilities() {
-        let xs = vec![vec![1.0], vec![2.0], vec![3.0]];
-        assert_eq!(gather_rows(&xs, &[2, 0]), vec![vec![3.0], vec![1.0]]);
-        assert_eq!(gather(&[10, 20, 30], &[1, 1]), vec![20, 20]);
     }
 }

@@ -28,11 +28,6 @@ impl PanelScheduler {
         self.demands.insert(ue_id, solo_capacity_mbps.max(0.0));
     }
 
-    /// Remove a UE (session ended).
-    pub fn unregister(&mut self, ue_id: u64) {
-        self.demands.remove(&ue_id);
-    }
-
     /// Number of attached UEs.
     pub fn attached(&self) -> usize {
         self.demands.len()
@@ -98,16 +93,6 @@ mod tests {
         s.register(2, 400.0); // poor channel
         assert_eq!(s.allocation_for(1), Some(1000.0));
         assert_eq!(s.allocation_for(2), Some(200.0));
-    }
-
-    #[test]
-    fn unregister_restores_share() {
-        let mut s = PanelScheduler::new();
-        s.register(1, 1000.0);
-        s.register(2, 1000.0);
-        s.unregister(2);
-        assert_eq!(s.allocation_for(1), Some(1000.0));
-        assert_eq!(s.allocation_for(2), None);
     }
 
     #[test]

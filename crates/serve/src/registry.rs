@@ -362,11 +362,6 @@ impl Gatekeeper {
         self.incumbent_mae = self.score(incumbent).ok();
     }
 
-    /// Records in the golden slice.
-    pub fn golden_len(&self) -> usize {
-        self.golden.len()
-    }
-
     /// Current incumbent MAE baseline, if seeded.
     pub fn incumbent_mae(&self) -> Option<f64> {
         self.incumbent_mae
@@ -624,7 +619,6 @@ mod tests {
     fn gatekeeper_admits_a_healthy_candidate_and_ratchets_the_baseline() {
         let mut gk = Gatekeeper::new(golden(30), 1.1);
         assert_eq!(gk.incumbent_mae(), None);
-        assert_eq!(gk.golden_len(), 30);
         let mae = gk.admit(&dummy_model(5)).expect("healthy candidate");
         assert!(mae.is_finite());
         assert_eq!(gk.incumbent_mae(), Some(mae));

@@ -29,17 +29,6 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
     Ok(ss / (xs.len() - 1) as f64)
 }
 
-/// Population variance (denominator `n`). Used by the normality tests, which
-/// are defined in terms of biased central moments.
-pub fn population_variance(xs: &[f64]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-    }
-    let m = mean(xs)?;
-    let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    Ok(ss / xs.len() as f64)
-}
-
 /// Unbiased sample standard deviation.
 pub fn std_dev(xs: &[f64]) -> Result<f64> {
     Ok(variance(xs)?.sqrt())
@@ -170,12 +159,6 @@ mod tests {
         // var([2,4,4,4,5,5,7,9]) sample = 32/7
         let v = variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
         assert!((v - 32.0 / 7.0).abs() < EPS);
-    }
-
-    #[test]
-    fn population_variance_uses_n_denominator() {
-        let v = population_variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((v - 4.0).abs() < EPS);
     }
 
     #[test]
